@@ -14,13 +14,10 @@ from .dmm_space import (
     BlockTags,
     DataStructureKind,
     DmmConfig,
-    FlexibleManager,
     HwParams,
     One,
     OsBackstop,
     SizeRange,
-    When,
-    estimate_cost,
     kingsley_config,
     lea_config,
     parse_dmm,

@@ -144,6 +144,12 @@ def _ge_params(args) -> GeParams:
 
 
 def cmd_optimize(args, argv) -> int:
+    if args.workers < 0:
+        raise CliError(f"--workers must be >= 0, got {args.workers}")
+    if args.units < 1:
+        raise CliError(f"--units must be >= 1, got {args.units}")
+    if args.units != 1 and args.workers == 0:
+        raise CliError("--units needs --workers >= 1; the sequential loop runs in one process")
     trace = parse_trace(_read(args.trace))
     grammar = parse_grammar(_read(args.grammar) if args.grammar else load_default_grammar_text())
     hw = _hw_from(args)
@@ -181,6 +187,9 @@ def cmd_compare(args, argv) -> int:
     results = {name: simulate(dmm, trace, hw) for name, dmm in rows}
 
     def deltas(row: SimMetrics, base: SimMetrics) -> str:
+        # a partial replay is no result: leave its comparisons empty
+        if row.exhausted or base.exhausted:
+            return ",,"
         cols = []
         for metric in ("ex_time", "peak_mem_used", "energy"):
             b = getattr(base, metric)
@@ -194,16 +203,20 @@ def cmd_compare(args, argv) -> int:
         "time_vs_lea_pct,mem_vs_lea_pct,energy_vs_lea_pct\n"
     )
     lines = [_invocation(argv), header]
-    exhausted = False
     for name, _ in rows:
         m = results[name]
-        exhausted = exhausted or m.exhausted
         lines.append(
             f"{name},{_metrics_csv(m, fitness(m, weights))},"
             f"{deltas(m, results['kingsley'])},{deltas(m, results['lea'])}\n"
         )
     _emit(args.out, "".join(lines))
-    return 2 if exhausted else 0
+    exhausted = [name for name, _ in rows if results[name].exhausted]
+    if exhausted:
+        print(f"heap exhausted before end of trace: {', '.join(exhausted)}; "
+              "their metrics are partial and every delta involving them is left empty",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_bench(args, argv) -> int:
@@ -282,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--workers", type=int, default=0,
                    help="master-worker width; 0 runs the plain sequential loop")
-    p.add_argument("--units", type=int, default=1, help="evaluation processes")
+    p.add_argument("--units", type=int, default=1,
+                   help="evaluation processes; more than 1 needs --workers >= 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generations", type=int, default=100)
     p.add_argument("--pop", type=int, default=60)

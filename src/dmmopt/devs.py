@@ -117,16 +117,6 @@ def _payload_note(outputs: dict[str, Any]) -> str:
     return ",".join(parts)
 
 
-def coordinate(
-    models: Sequence[AtomicModel],
-    coupling: Coupling,
-    until: UntilCondition | None = None,
-    max_cycles: int = 1_000_000,
-) -> list[EventRecord]:
-    """Run the classic DEVS cycle sequentially until quiescence."""
-    return run_parallel(models, coupling, until=until, execution_units=1, max_cycles=max_cycles)
-
-
 def run_parallel(
     models: Sequence[AtomicModel],
     coupling: Coupling,
@@ -203,57 +193,3 @@ def run_parallel(
         if pool is not None:
             pool.shutdown(wait=False)
 
-
-# --- declarative topology files --------------------------------------------
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Parsed form of the declarative topology file.
-
-    The file lists models with their kinds, couplings, and optional
-    co-placement advice::
-
-        model master kind=master
-        model w1 kind=worker
-        couple master.oW_1 -> w1.in
-        couple w1.out -> master.iW_1
-        place master with w1
-    """
-
-    models: tuple[tuple[str, str], ...]  # (name, kind)
-    routes: tuple[Route, ...]
-    placements: tuple[tuple[str, str], ...] = ()
-
-
-def parse_topology(text: str) -> TopologySpec:
-    models: list[tuple[str, str]] = []
-    routes: list[Route] = []
-    placements: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "model" and len(parts) == 3 and parts[2].startswith("kind="):
-            models.append((parts[1], parts[2][len("kind="):]))
-        elif parts[0] == "couple" and len(parts) == 4 and parts[2] == "->":
-            src, dst = parts[1], parts[3]
-            if "." not in src or "." not in dst:
-                raise CouplingError(f"line {lineno}: couplings need model.port endpoints")
-            routes.append((tuple(src.split(".", 1)), tuple(dst.split(".", 1))))
-        elif parts[0] == "place" and len(parts) == 4 and parts[2] == "with":
-            placements.append((parts[1], parts[3]))
-        else:
-            raise CouplingError(f"line {lineno}: cannot parse {raw!r}")
-    names = {name for name, _ in models}
-    for (src, _), (dst, _) in routes:
-        if src not in names or dst not in names:
-            raise CouplingError(f"coupling references undeclared model {src!r} or {dst!r}")
-    return TopologySpec(tuple(models), tuple(routes), tuple(placements))
-
-
-def serialize_topology(spec: TopologySpec) -> str:
-    lines = [f"model {name} kind={kind}" for name, kind in spec.models]
-    lines += [f"couple {s}.{sp} -> {d}.{dp}" for (s, sp), (d, dp) in spec.routes]
-    lines += [f"place {a} with {b}" for a, b in spec.placements]
-    return "".join(line + "\n" for line in lines)

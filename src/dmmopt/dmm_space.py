@@ -3,10 +3,14 @@
 A DMM is an ordered chain of atomic managers (ADMs) in front of an OS
 backstop. Each ADM fixes one choice in every decision category: the
 free-block data structure, the block sizes it serves, the per-block
-header fields, the allocation policy, and whether/when blocks may be
-split or coalesced. Interdependencies between categories (a single
-fixed block size cannot be split, coalescing needs status headers, ...)
-are enforced by :func:`validate`.
+header fields, the allocation policy, and whether blocks may be split
+or coalesced. That last choice is two optional sizes: a manager with a
+``min_result_size`` splits a block when the remainder would hold at
+least that many payload bytes, and one with a ``max_result_size``
+merges freed neighbours up to that many payload bytes; ``None`` means
+never. Interdependencies between categories (a single fixed block size
+cannot be split, coalescing needs status headers, ...) are enforced by
+:func:`validate`.
 
 Configurations are immutable values. The text form is the nested
 ``AtomicDMM(DataStructure(Header), Selector, Migration, Next)``
@@ -59,18 +63,6 @@ class AllocationPolicy(Enum):
     EXACT_FIT = "ExactFit"
 
 
-class FlexibleManager(Enum):
-    FIXED = "Fixed"
-    SPLIT_ONLY = "SplitOnly"
-    COALESCE_ONLY = "CoalesceOnly"
-    SPLIT_AND_COALESCE = "SplitAndCoalesce"
-
-
-class When(Enum):
-    NEVER = "Never"
-    IMMEDIATE = "Immediate"
-
-
 @dataclass(frozen=True)
 class One:
     """A single fixed block size in bytes; serves any request <= size."""
@@ -95,26 +87,12 @@ class AdmConfig:
     block_sizes: BlockSizes
     block_tags: BlockTags
     allocation_policy: AllocationPolicy
-    flexible_manager: FlexibleManager = FlexibleManager.FIXED
-    coalesce_when: When = When.NEVER
-    max_result_size: int = 0
-    split_when: When = When.NEVER
-    min_result_size: int = 0
+    min_result_size: int | None = None  # split; None: never
+    max_result_size: int | None = None  # coalesce; None: never
 
     @property
     def header_bytes(self) -> int:
         return self.block_tags.header_bytes
-
-    def covers_request(self, size: int) -> bool:
-        if isinstance(self.block_sizes, One):
-            return size <= self.block_sizes.size
-        return self.block_sizes.lo <= size <= self.block_sizes.hi
-
-    def accepts_freed(self, payload: int) -> bool:
-        """Migration rule: which freed block payloads return to this ADM."""
-        if isinstance(self.block_sizes, One):
-            return payload == self.block_sizes.size
-        return self.block_sizes.lo <= payload <= self.block_sizes.hi
 
 
 @dataclass(frozen=True)
@@ -147,57 +125,31 @@ def validate(dmm: DmmConfig) -> list[str]:
     for i, adm in enumerate(dmm.adms):
         tag = f"adm[{i}]"
         bs = adm.block_sizes
+        mn, mx = adm.min_result_size, adm.max_result_size
+        flexible = mn is not None or mx is not None
         if isinstance(bs, One):
             if bs.size < 1:
                 violations.append(f"{tag}: block size {bs.size} below 1 byte")
-            if adm.flexible_manager is not FlexibleManager.FIXED:
-                violations.append(f"{tag}: One block size excludes the flexible manager")
+            if flexible:
+                violations.append(f"{tag}: One block size cannot be split or coalesced")
         else:
             if bs.lo < 1 or bs.hi < bs.lo:
                 violations.append(f"{tag}: bad size range [{bs.lo}, {bs.hi}]")
             if adm.block_tags is BlockTags.NONE:
                 violations.append(f"{tag}: several block sizes need an in-block size field")
-        if adm.block_tags is BlockTags.NONE and (
-            adm.flexible_manager is not FlexibleManager.FIXED
-            or adm.coalesce_when is not When.NEVER
-            or adm.split_when is not When.NEVER
-        ):
+        if adm.block_tags is BlockTags.NONE and flexible:
             violations.append(f"{tag}: tag-less blocks cannot be coalesced or split")
-        if adm.coalesce_when is When.IMMEDIATE and adm.block_tags is not BlockTags.HEADER_SIZE_STATUS:
+        if mx is not None and adm.block_tags is not BlockTags.HEADER_SIZE_STATUS:
             violations.append(f"{tag}: coalescing needs size+status block tags")
-
-        flex = adm.flexible_manager
-        wants_split = flex in (FlexibleManager.SPLIT_ONLY, FlexibleManager.SPLIT_AND_COALESCE)
-        wants_coalesce = flex in (FlexibleManager.COALESCE_ONLY, FlexibleManager.SPLIT_AND_COALESCE)
-        if wants_split != (adm.split_when is not When.NEVER):
-            violations.append(f"{tag}: split_when inconsistent with {flex.value}")
-        if wants_coalesce != (adm.coalesce_when is not When.NEVER):
-            violations.append(f"{tag}: coalesce_when inconsistent with {flex.value}")
-        if wants_split and adm.min_result_size < 1:
+        if mn is not None and mn < 1:
             violations.append(f"{tag}: splitting needs min_result_size >= 1")
-        if wants_coalesce and adm.max_result_size < 1:
+        if mx is not None and mx < 1:
             violations.append(f"{tag}: coalescing needs max_result_size >= 1")
-        if flex is FlexibleManager.SPLIT_AND_COALESCE and adm.min_result_size > adm.max_result_size:
-            violations.append(
-                f"{tag}: min_result_size {adm.min_result_size} exceeds "
-                f"max_result_size {adm.max_result_size}"
-            )
+        if mn is not None and mx is not None and mn > mx:
+            violations.append(f"{tag}: min_result_size {mn} exceeds max_result_size {mx}")
     if dmm.backstop.heap_limit < 1 or dmm.backstop.chunk_granularity < 1:
         violations.append("backstop limits must be >= 1 byte")
     return violations
-
-
-def dispatch_adm(dmm: DmmConfig, size: int) -> int | None:
-    """Index of the first ADM whose selector covers `size`, or None (backstop)."""
-    for i, adm in enumerate(dmm.adms):
-        if adm.covers_request(size):
-            return i
-    return None
-
-
-def estimate_cost(dmm: DmmConfig) -> int:
-    """Simulation-time estimate used for load balancing: the ADM count."""
-    return len(dmm.adms)
 
 
 def kingsley_config(max_pow: int = 32, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
@@ -241,11 +193,8 @@ def lea_config(heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
         block_sizes=SizeRange(64, 128 * 1024),
         block_tags=BlockTags.HEADER_SIZE_STATUS,
         allocation_policy=AllocationPolicy.BEST_FIT,
-        flexible_manager=FlexibleManager.SPLIT_AND_COALESCE,
-        coalesce_when=When.IMMEDIATE,
-        max_result_size=128 * 1024,
-        split_when=When.IMMEDIATE,
         min_result_size=8,
+        max_result_size=128 * 1024,
     )
     return DmmConfig(adms=small + (medium,), backstop=OsBackstop(heap_limit=heap_limit))
 
@@ -281,14 +230,14 @@ def _selector_token(sizes: BlockSizes) -> str:
 
 
 def _migration_token(adm: AdmConfig) -> str:
-    flex = adm.flexible_manager
-    if flex is FlexibleManager.FIXED:
+    mn, mx = adm.min_result_size, adm.max_result_size
+    if mn is None and mx is None:
         return _selector_token(adm.block_sizes)
-    if flex is FlexibleManager.SPLIT_ONLY:
-        return f"SplitOnly({adm.min_result_size})"
-    if flex is FlexibleManager.COALESCE_ONLY:
-        return f"CoalesceOnly({adm.max_result_size})"
-    return f"SplitAndCoalesce({adm.min_result_size}, {adm.max_result_size})"
+    if mx is None:
+        return f"SplitOnly({mn})"
+    if mn is None:
+        return f"CoalesceOnly({mx})"
+    return f"SplitAndCoalesce({mn}, {mx})"
 
 
 def serialize_dmm(dmm: DmmConfig) -> str:
@@ -413,39 +362,26 @@ class _Parser:
         return [adm] + rest, backstop
 
     def migration(self) -> dict:
+        """SplitOnly(min), CoalesceOnly(max) or SplitAndCoalesce(min, max)."""
         tok = self.peek()
         if tok == "SplitAndCoalesce":
             self.take()
             args = self.int_args(0, 2)
             mn, mx = (args[0], args[1]) if len(args) == 2 else BARE_RANGE_DEFAULT
-            return dict(
-                flexible_manager=FlexibleManager.SPLIT_AND_COALESCE,
-                split_when=When.IMMEDIATE,
-                min_result_size=mn,
-                coalesce_when=When.IMMEDIATE,
-                max_result_size=mx,
-            )
+            return dict(min_result_size=mn, max_result_size=mx)
         if tok == "SplitOnly":
             self.take()
             (mn,) = self.int_args(1, 1)
-            return dict(
-                flexible_manager=FlexibleManager.SPLIT_ONLY,
-                split_when=When.IMMEDIATE,
-                min_result_size=mn,
-            )
+            return dict(min_result_size=mn)
         if tok == "CoalesceOnly":
             self.take()
             (mx,) = self.int_args(1, 1)
-            return dict(
-                flexible_manager=FlexibleManager.COALESCE_ONLY,
-                coalesce_when=When.IMMEDIATE,
-                max_result_size=mx,
-            )
-        # A plain selector in the migration slot means a fixed-size manager;
-        # freed-block routing always follows block_sizes, so its value is
-        # not recorded beyond the Fixed policy.
+            return dict(max_result_size=mx)
+        # A plain selector in the migration slot means no splitting and no
+        # coalescing; freed-block routing always follows block_sizes, so its
+        # value is read and dropped.
         self.selector()
-        return dict(flexible_manager=FlexibleManager.FIXED)
+        return {}
 
 
 def parse_dmm(text: str) -> DmmConfig:

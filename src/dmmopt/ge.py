@@ -7,7 +7,9 @@ nonterminal expansion consumes one codon and picks the alternative
 to the first codon, at most `max_wraps` times; an individual still
 holding nonterminals after the wrap budget is invalid and receives the
 worst possible fitness. Unread trailing codons never affect the
-phenotype.
+phenotype. The engine decodes and validates each new genotype once,
+when it prepares a generation, and scores the invalid ones there; only
+legal configurations reach the simulator.
 
 Selection is tournament, variation is single-point crossover with
 independent cut points plus per-codon mutation, and the best
@@ -38,7 +40,11 @@ class Individual:
     phenotype: DmmConfig | None = None
     invalid: bool = False
     fitness: float | None = None
-    sim_estimate: int = 0
+
+    @property
+    def sim_estimate(self) -> int:
+        """Simulation-time estimate used for load balancing: the ADM count."""
+        return len(self.phenotype.adms) if self.phenotype is not None else 0
 
     def copy(self) -> "Individual":
         return Individual(
@@ -46,7 +52,6 @@ class Individual:
             phenotype=self.phenotype,
             invalid=self.invalid,
             fitness=self.fitness,
-            sim_estimate=self.sim_estimate,
         )
 
 
@@ -148,34 +153,21 @@ def mutate(genotype: Genotype, p_mutation: float, rng: random.Random) -> Genotyp
 
 @dataclass(frozen=True)
 class EvalContext:
-    grammar: Grammar
     trace: Trace
     hw: HwParams
     weights: FitnessWeights
-    max_wraps: int = 3
 
 
 def evaluate(ind: Individual, ctx: EvalContext) -> Individual:
-    """Decode (if not already), simulate and score one individual.
+    """Simulate and score one pending individual.
 
-    Invalid mappings, constraint-violating configurations and exhausted
-    simulations all receive WORST_FITNESS.
+    The individual must come from :meth:`GeaEngine.prepare_generation`,
+    which decodes and validates; an exhausted simulation scores
+    WORST_FITNESS.
     """
-    if ind.fitness is not None:
-        return ind
-    if ind.phenotype is None and not ind.invalid:
-        ind.phenotype = decode(ind.genotype, ctx.grammar, ctx.max_wraps)
-        ind.invalid = ind.phenotype is None
-    if ind.invalid:
-        ind.fitness = WORST_FITNESS
-        ind.sim_estimate = 0
-        return ind
-    ind.sim_estimate = len(ind.phenotype.adms)
-    if validate(ind.phenotype):
-        ind.fitness = WORST_FITNESS
-        return ind
-    metrics = simulate(ind.phenotype, ctx.trace, ctx.hw)
-    ind.fitness = fitness(metrics, ctx.weights)
+    if ind.fitness is None:
+        metrics = simulate(ind.phenotype, ctx.trace, ctx.hw)
+        ind.fitness = fitness(metrics, ctx.weights)
     return ind
 
 
@@ -201,23 +193,24 @@ LOG_HEADER = "generation,best_fitness,mean_fitness,best_adm_count,invalid_count"
 class GeaEngine:
     """Population state plus the selection/variation step.
 
-    The engine does not evaluate: callers fetch the indices that need
-    evaluation from :meth:`prepare_generation`, score them however they
-    like (inline or on workers) and hand the results back. A cache keyed
-    by genotype skips re-evaluation of unchanged individuals; fitness is
-    a pure function of the genotype, so cached values are exact.
+    The engine does not simulate: :meth:`prepare_generation` decodes and
+    validates every new individual, scores the invalid ones itself and
+    returns the indices that still need a simulation. Callers score
+    those with :func:`evaluate` however they like (inline or on workers)
+    and hand the results back. A cache keyed by genotype skips
+    re-evaluation of unchanged individuals; fitness is a pure function
+    of the genotype, so cached values are exact.
     """
 
-    def __init__(self, grammar: Grammar, params: GeParams, ctx: EvalContext):
+    def __init__(self, grammar: Grammar, params: GeParams):
         self.params = params
-        self.ctx = ctx
         self.grammar = grammar
         self.rng = random.Random(params.rng_seed)
         self.generation = 0
         self.population = [self._random_individual() for _ in range(params.population_size)]
         self.log: list[GenerationRow] = []
         self.best: Individual | None = None
-        self._cache: dict[tuple[int, ...], tuple[float, int, DmmConfig | None, bool]] = {}
+        self._cache: dict[tuple[int, ...], tuple[float, DmmConfig | None, bool]] = {}
 
     def _random_individual(self) -> Individual:
         length = self.rng.randint(self.params.init_len_min, self.params.init_len_max)
@@ -232,26 +225,19 @@ class GeaEngine:
             key = tuple(ind.genotype)
             hit = self._cache.get(key)
             if hit is not None:
-                ind.fitness, ind.sim_estimate, ind.phenotype, ind.invalid = hit
+                ind.fitness, ind.phenotype, ind.invalid = hit
                 continue
             ind.phenotype = decode(ind.genotype, self.grammar, self.params.max_wraps)
             ind.invalid = ind.phenotype is None
             if ind.invalid or validate(ind.phenotype):
                 ind.fitness = WORST_FITNESS
-                ind.sim_estimate = 0 if ind.invalid else len(ind.phenotype.adms)
                 self._remember(ind)
             else:
-                ind.sim_estimate = len(ind.phenotype.adms)
                 pending.append(i)
         return pending
 
     def _remember(self, ind: Individual) -> None:
-        self._cache[tuple(ind.genotype)] = (
-            ind.fitness,
-            ind.sim_estimate,
-            ind.phenotype,
-            ind.invalid,
-        )
+        self._cache[tuple(ind.genotype)] = (ind.fitness, ind.phenotype, ind.invalid)
 
     def apply_results(self, results: list[tuple[int, Individual]]) -> None:
         for index, ind in results:
@@ -310,15 +296,11 @@ class GeaEngine:
 
 
 def make_context(
-    grammar: Grammar,
-    trace: Trace,
-    hw: HwParams,
-    weights: FitnessWeights | None = None,
-    max_wraps: int = 3,
+    trace: Trace, hw: HwParams, weights: FitnessWeights | None = None
 ) -> EvalContext:
     if weights is None:
         weights = default_weights(trace, hw)
-    return EvalContext(grammar=grammar, trace=trace, hw=hw, weights=weights, max_wraps=max_wraps)
+    return EvalContext(trace=trace, hw=hw, weights=weights)
 
 
 def run_sequential(
@@ -329,8 +311,8 @@ def run_sequential(
     weights: FitnessWeights | None = None,
 ) -> tuple[Individual, list[GenerationRow]]:
     """Run the generational loop in-process; returns best and the log."""
-    ctx = make_context(grammar, trace, hw, weights, params.max_wraps)
-    engine = GeaEngine(grammar, params, ctx)
+    ctx = make_context(trace, hw, weights)
+    engine = GeaEngine(grammar, params)
     while True:
         for i in engine.prepare_generation():
             engine.apply_results([(i, evaluate(engine.population[i], ctx))])

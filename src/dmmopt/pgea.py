@@ -9,8 +9,10 @@ consumed exclusively on the master and evaluation is deterministic, so
 the search trajectory is identical to the sequential loop for any
 worker count.
 
-Individuals that fail to map (or map to a constraint-violating
-configuration) are scored on the master and never dispatched.
+The master decodes and validates every candidate once, when it
+prepares a generation. Individuals that fail to map (or map to a
+constraint-violating configuration) are scored there and never
+dispatched; workers only simulate.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class WorkerModel(devs.AtomicModel):
 
 def build_topology(
     workers: int, engine: GeaEngine, evaluate_batch: BatchEvaluator
-) -> tuple[list[devs.AtomicModel], devs.Coupling, devs.TopologySpec]:
+) -> tuple[list[devs.AtomicModel], devs.Coupling]:
     """One master plus `workers` workers in a star: oW_j -> in, out -> iW_j."""
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -170,14 +172,9 @@ def build_topology(
         routes.append((("master", f"oW_{j}"), (worker.name, "in")))
         routes.append(((worker.name, "out"), ("master", f"iW_{j}")))
     coupling = devs.Coupling(tuple(routes))
-    spec = devs.TopologySpec(
-        models=(("master", "master"),) + tuple((w.name, "worker") for w in worker_models),
-        routes=tuple(routes),
-        placements=(("master", worker_models[0].name),),
-    )
     models: list[devs.AtomicModel] = [master] + worker_models
     coupling.validate(models)
-    return models, coupling, spec
+    return models, coupling
 
 
 _POOL_CTX: EvalContext | None = None
@@ -206,8 +203,8 @@ def run_parallel_ge(
     `workers` sets the topology width (how many batches per generation);
     `execution_units` sets how many OS processes evaluate concurrently.
     """
-    ctx = make_context(grammar, trace, hw, weights, params.max_wraps)
-    engine = GeaEngine(grammar, params, ctx)
+    ctx = make_context(trace, hw, weights)
+    engine = GeaEngine(grammar, params)
     pool: ProcessPoolExecutor | None = None
     try:
         if execution_units > 1:
@@ -219,7 +216,7 @@ def run_parallel_ge(
             ).result()
         else:
             evaluate_batch = lambda batch: [evaluate(ind, ctx) for ind in batch]
-        models, coupling, _ = build_topology(workers, engine, evaluate_batch)
+        models, coupling = build_topology(workers, engine, evaluate_batch)
         events = devs.run_parallel(models, coupling, execution_units=execution_units)
     finally:
         if pool is not None:

@@ -55,7 +55,6 @@ from .dmm_space import (
     DmmConfig,
     HwParams,
     One,
-    When,
     kingsley_config,
     validate,
 )
@@ -126,9 +125,9 @@ class AdmRuntime:
         self.dll = adm.data_structure is DataStructureKind.DOUBLY_LINKED
         self.unlink_cost = COST_UNLINK_DLL if self.dll else COST_UNLINK_SLL
         self.insert_cost = COST_INSERT_DLL if self.dll else COST_INSERT_SLL
-        self.splits = adm.split_when is When.IMMEDIATE
+        self.splits = adm.min_result_size is not None
         self.min_result = adm.min_result_size
-        self.coalesces = adm.coalesce_when is When.IMMEDIATE
+        self.coalesces = adm.max_result_size is not None
         self.max_result = adm.max_result_size
         self.buckets: dict[int, list[Block]] = {}
         self.blocks: list[Block] = []

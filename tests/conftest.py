@@ -17,12 +17,10 @@ from dmmopt.dmm_space import (
     BlockTags,
     DataStructureKind,
     DmmConfig,
-    FlexibleManager,
     HwParams,
     One,
     OsBackstop,
     SizeRange,
-    When,
     validate,
 )
 from dmmopt.simulator import FREE, LIVE, HeapSim
@@ -84,31 +82,28 @@ def random_small_dmm(rng: random.Random) -> DmmConfig:
         policy = rng.choice(list(AllocationPolicy))
         if rng.random() < 0.5:
             sizes = One(rng.choice((8, 16, 40, 64, 128)))
-            flex = FlexibleManager.FIXED
+            splits = coalesces = False
         else:
             lo = rng.choice((1, 8, 32, 64))
             sizes = SizeRange(lo, lo + rng.choice((64, 256, 4096)))
-            flex = rng.choice(
-                (FlexibleManager.FIXED, FlexibleManager.SPLIT_AND_COALESCE,
-                 FlexibleManager.SPLIT_ONLY, FlexibleManager.COALESCE_ONLY)
+            # fixed, split and coalesce, split only, coalesce only
+            splits, coalesces = rng.choice(
+                ((False, False), (True, True), (True, False), (False, True))
             )
-        wants_split = flex in (FlexibleManager.SPLIT_ONLY, FlexibleManager.SPLIT_AND_COALESCE)
-        wants_coalesce = flex in (FlexibleManager.COALESCE_ONLY, FlexibleManager.SPLIT_AND_COALESCE)
-        tags = BlockTags.HEADER_SIZE_STATUS if wants_coalesce else (
+        tags = BlockTags.HEADER_SIZE_STATUS if coalesces else (
             BlockTags.NONE
-            if isinstance(sizes, One) and flex is FlexibleManager.FIXED and rng.random() < 0.3
+            if isinstance(sizes, One) and rng.random() < 0.3
             else rng.choice((BlockTags.HEADER_SIZE, BlockTags.HEADER_SIZE_STATUS))
         )
+        max_result = rng.choice((512, 4096, 2**20)) if coalesces else None
+        min_result = rng.choice((8, 32)) if splits else None
         adm = AdmConfig(
             data_structure=structure,
             block_sizes=sizes,
             block_tags=tags,
             allocation_policy=policy,
-            flexible_manager=flex,
-            coalesce_when=When.IMMEDIATE if wants_coalesce else When.NEVER,
-            max_result_size=rng.choice((512, 4096, 2**20)) if wants_coalesce else 0,
-            split_when=When.IMMEDIATE if wants_split else When.NEVER,
-            min_result_size=rng.choice((8, 32)) if wants_split else 0,
+            min_result_size=min_result,
+            max_result_size=max_result,
         )
         adms.append(adm)
     dmm = DmmConfig(adms=tuple(adms), backstop=OsBackstop(heap_limit=2**30))

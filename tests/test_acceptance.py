@@ -26,11 +26,9 @@ from dmmopt.dmm_space import (
     BlockTags,
     DataStructureKind,
     DmmConfig,
-    FlexibleManager,
     HwParams,
     One,
     OsBackstop,
-    When,
     kingsley_config,
     lea_config,
     validate,
@@ -85,9 +83,8 @@ def test_criterion_2_kingsley_structure():
             assert adm.block_sizes == One(2**k)
             assert adm.data_structure is DataStructureKind.SINGLY_LINKED
             assert adm.allocation_policy is AllocationPolicy.FIRST_FIT
-            assert adm.coalesce_when is When.NEVER
-            assert adm.split_when is When.NEVER
-            assert adm.flexible_manager is FlexibleManager.FIXED
+            assert adm.min_result_size is None
+            assert adm.max_result_size is None
         assert validate(dmm) == []
 
 
@@ -281,12 +278,14 @@ def test_criterion_8_ge_engine_properties():
                 assert "<" in result.text
 
         trace = synth_workload(WorkloadSpec(events=400, live_cap=10, sizes=(40, 100), seed=4))
-        ctx = make_context(grammar, trace, HW)
+        ctx = make_context(trace, HW)
         from dmmopt.ge import WORST_FITNESS, Individual
 
         recursive = parse_grammar("<S> ::= <S>\n")
-        bad_ctx = make_context(recursive, trace, HW, weights=ctx.weights)
-        assert evaluate(Individual([9, 9, 9]), bad_ctx).fitness == WORST_FITNESS
+        bad_engine = GeaEngine(recursive, GeParams(population_size=2))
+        bad_engine.population[0] = Individual([9, 9, 9])
+        assert bad_engine.prepare_generation() == []
+        assert bad_engine.population[0].fitness == WORST_FITNESS
 
         params = GeParams(population_size=12, generations=8, rng_seed=31)
         best_a, log_a = run_sequential(grammar, trace, HW, params, weights=ctx.weights)
@@ -296,7 +295,7 @@ def test_criterion_8_ge_engine_properties():
         bests = [r.best_fitness for r in log_a]
         assert all(later <= earlier for earlier, later in zip(bests, bests[1:]))
 
-        engine = GeaEngine(grammar, params, ctx)
+        engine = GeaEngine(grammar, params)
         for _ in range(3):
             for i in engine.prepare_generation():
                 engine.apply_results([(i, evaluate(engine.population[i], ctx))])
@@ -309,13 +308,13 @@ def test_criterion_9_devs_event_log_determinism():
     with criterion(9, "event logs invariant across execution units; order as traced"):
         trace = synth_workload(WorkloadSpec(events=600, live_cap=15, sizes=(40, 100), seed=6))
         grammar = load_default_grammar()
-        ctx = make_context(grammar, trace, HW)
+        ctx = make_context(trace, HW)
         params = GeParams(population_size=8, generations=2, rng_seed=13)
 
         logs = []
         for units in (1, 2, 4):
-            engine = GeaEngine(grammar, params, ctx)
-            models, coupling, _ = build_topology(
+            engine = GeaEngine(grammar, params)
+            models, coupling = build_topology(
                 2, engine, lambda batch: [evaluate(ind, ctx) for ind in batch]
             )
             logs.append(devs_run_parallel(models, coupling, execution_units=units))

@@ -82,6 +82,46 @@ def test_optimize_parallel_matches_sequential(workdir):
     assert lines_of(workdir / "seq.csv")[1:] == lines_of(workdir / "par.csv")[1:]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--units", "4"], "--units needs --workers >= 1"),
+        (["--workers", "2", "--units", "0"], "--units must be >= 1"),
+        (["--workers", "-1"], "--workers must be >= 0"),
+    ],
+    ids=["units-without-workers", "units-below-1", "workers-below-0"],
+)
+def test_optimize_rejects_flags_without_effect(workdir, capsys, flags, message):
+    code = main(["optimize", "--trace", str(workdir / "t.txt"), "--generations", "0",
+                 "--pop", "4", *flags])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_compare_leaves_deltas_of_exhausted_managers_empty(workdir, capsys):
+    starved = workdir / "starved.txt"
+    starved.write_text(serialize_dmm(kingsley_config(heap_limit=64)))
+    out = workdir / "cmp.csv"
+    assert main(["compare", "--trace", str(workdir / "t.txt"),
+                 "--evolved", str(starved), "--out", str(out)]) == 2
+    assert "evolved" in capsys.readouterr().err
+    header, *rows = lines_of(out)[1:]
+    assert len(header.split(",")) == 12
+    rows = {line.split(",")[0]: line.split(",") for line in rows}
+    assert rows["evolved"][5] == "inf" and rows["evolved"][6:] == [""] * 6
+    assert "" not in rows["kingsley"][9:] and "" not in rows["lea"][6:9]
+
+    # baselines starved at --memory-size: every delta against them is empty too
+    roomy = workdir / "roomy.txt"
+    roomy.write_text(serialize_dmm(kingsley_config()))
+    assert main(["compare", "--trace", str(workdir / "t.txt"), "--evolved", str(roomy),
+                 "--memory-size", "100", "--out", str(out)]) == 2
+    assert "kingsley, lea" in capsys.readouterr().err
+    for line in lines_of(out)[2:]:
+        fields = line.split(",")
+        assert len(fields) == 12 and fields[6:] == [""] * 6
+
+
 def test_compare_kingsley_against_itself_has_zero_deltas(workdir):
     evolved = workdir / "kingsley.txt"
     evolved.write_text(serialize_dmm(kingsley_config()))

@@ -7,11 +7,7 @@ from dmmopt.devs import (
     CausalityError,
     Coupling,
     CouplingError,
-    TopologySpec,
-    coordinate,
-    parse_topology,
     run_parallel,
-    serialize_topology,
 )
 
 
@@ -66,14 +62,14 @@ class Echo(AtomicModel):
 
 
 def test_all_passive_terminates_with_empty_log():
-    log = coordinate([Quiet("m")], Coupling(()))
+    log = run_parallel([Quiet("m")], Coupling(()))
     assert log == []
 
 
 def test_zero_delay_external_to_lambda():
     pulse, echo = Pulse("p"), Echo("e")
     coupling = Coupling(((("p", "out"), ("e", "in")),))
-    log = coordinate([pulse, echo], coupling)
+    log = run_parallel([pulse, echo], coupling)
     kinds = [(r.model, r.kind) for r in log]
     assert kinds == [
         ("p", "lambda"),
@@ -93,7 +89,7 @@ def test_delta_con_runs_int_then_ext():
 
     pulse, model = Pulse("p"), Conflicted("c")
     coupling = Coupling(((("p", "out"), ("c", "in")),))
-    log = coordinate([pulse, model], coupling)
+    log = run_parallel([pulse, model], coupling)
     con_events = [r for r in log if r.kind == "delta_con"]
     assert len(con_events) == 1
     assert model.calls[:2] == ["delta_int", "delta_ext"]
@@ -103,7 +99,7 @@ def test_causality_violation_aborts():
     bad = Quiet("bad")
     bad.sigma = -1.0
     with pytest.raises(CausalityError):
-        coordinate([bad], Coupling(()))
+        run_parallel([bad], Coupling(()))
 
 
 def test_virtual_time_advances_with_finite_sigma():
@@ -123,7 +119,7 @@ def test_virtual_time_advances_with_finite_sigma():
             self.passivate()
 
     timer = Timer()
-    log = coordinate([timer], Coupling(()))
+    log = run_parallel([timer], Coupling(()))
     assert [r.time for r in log] == [2.5, 2.5]
     assert timer.sigma == INFINITY
 
@@ -158,24 +154,9 @@ def test_run_parallel_log_matches_sequential():
         return [pulse] + echoes, Coupling(routes)
 
     models, coupling = build()
-    base = coordinate(models, coupling)
+    base = run_parallel(models, coupling)
     for units in (2, 4):
         models, coupling = build()
         log = run_parallel(models, coupling, execution_units=units)
         assert log == base
 
-
-def test_topology_file_round_trip():
-    spec = TopologySpec(
-        models=(("master", "master"), ("w1", "worker")),
-        routes=((("master", "oW_1"), ("w1", "in")), (("w1", "out"), ("master", "iW_1"))),
-        placements=(("master", "w1"),),
-    )
-    assert parse_topology(serialize_topology(spec)) == spec
-
-
-def test_topology_parse_errors():
-    with pytest.raises(CouplingError):
-        parse_topology("model broken\n")
-    with pytest.raises(CouplingError):
-        parse_topology("model a kind=worker\ncouple a.out -> b.in\n")

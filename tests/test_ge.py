@@ -7,7 +7,6 @@ import pytest
 from dmmopt.dmm_space import HwParams, kingsley_config
 from dmmopt.ge import (
     WORST_FITNESS,
-    EvalContext,
     GeaEngine,
     GeParams,
     Individual,
@@ -33,9 +32,9 @@ def grammar():
 
 
 @pytest.fixture(scope="module")
-def small_ctx(grammar):
+def small_ctx():
     trace = synth_workload(WorkloadSpec(events=300, live_cap=15, sizes=(40, 100), seed=5))
-    return make_context(grammar, trace, HW)
+    return make_context(trace, HW)
 
 
 class TestDecode:
@@ -162,26 +161,30 @@ class TestMutate:
 
 
 class TestEvaluate:
-    def test_invalid_mapping_gets_worst_fitness(self, small_ctx):
-        g = parse_grammar("<S> ::= <S>\n")
-        ctx = EvalContext(g, small_ctx.trace, small_ctx.hw, small_ctx.weights, max_wraps=2)
-        ind = evaluate(Individual([0, 0]), ctx)
+    def test_invalid_mapping_gets_worst_fitness(self):
+        recursive = parse_grammar("<S> ::= <S>\n")
+        engine = GeaEngine(recursive, GeParams(population_size=2, max_wraps=2))
+        engine.population[0] = Individual([0, 0])
+        assert engine.prepare_generation() == []
+        ind = engine.population[0]
         assert ind.invalid and ind.fitness == WORST_FITNESS and ind.sim_estimate == 0
 
-    def test_constraint_violating_phenotype_gets_worst_fitness(self, small_ctx):
+    def test_constraint_violating_phenotype_gets_worst_fitness(self):
         # EmptyHeader with a range selector cannot be simulated
         g = parse_grammar(
             "<S> ::= AtomicDMM(BestFitSLL(EmptyHeader), RangeSelector(8, 64), "
             "RangeSelector(8, 64), OperatingSystem)\n"
         )
-        ctx = EvalContext(g, small_ctx.trace, small_ctx.hw, small_ctx.weights)
-        ind = evaluate(Individual([0]), ctx)
+        engine = GeaEngine(g, GeParams(population_size=2))
+        engine.population[0] = Individual([0])
+        assert engine.prepare_generation() == []
+        ind = engine.population[0]
         assert not ind.invalid
-        assert ind.fitness == WORST_FITNESS
+        assert ind.fitness == WORST_FITNESS and ind.sim_estimate == 1
 
-    def test_composition_matches_direct_pipeline(self, small_ctx):
-        ind = evaluate(Individual(list(GOLDEN)), small_ctx)
-        cfg = decode(GOLDEN, small_ctx.grammar)
+    def test_composition_matches_direct_pipeline(self, grammar, small_ctx):
+        cfg = decode(GOLDEN, grammar)
+        ind = evaluate(Individual(list(GOLDEN), phenotype=cfg), small_ctx)
         expected = fitness(simulate(cfg, small_ctx.trace, small_ctx.hw), small_ctx.weights)
         assert ind.fitness == expected
         assert ind.sim_estimate == len(cfg.adms)
@@ -192,8 +195,8 @@ class TestEvaluate:
         m = simulate(kingsley_config(), trace, HW)
         assert fitness(m, weights) == pytest.approx(1.0)
 
-    def test_cached_fitness_is_not_recomputed(self, small_ctx):
-        ind = evaluate(Individual(list(GOLDEN)), small_ctx)
+    def test_cached_fitness_is_not_recomputed(self, grammar, small_ctx):
+        ind = evaluate(Individual(list(GOLDEN), phenotype=decode(GOLDEN, grammar)), small_ctx)
         marker = ind.fitness
         ind.fitness = marker + 123.0
         assert evaluate(ind, small_ctx).fitness == marker + 123.0
@@ -206,7 +209,7 @@ class TestEngine:
         return GeParams(**base)
 
     def test_population_size_is_invariant(self, grammar, small_ctx):
-        engine = GeaEngine(grammar, self.params(), small_ctx)
+        engine = GeaEngine(grammar, self.params())
         for _ in range(4):
             for i in engine.prepare_generation():
                 engine.apply_results([(i, evaluate(engine.population[i], small_ctx))])
@@ -216,7 +219,7 @@ class TestEngine:
                 break
 
     def test_full_elitism_copies_the_population(self, grammar, small_ctx):
-        engine = GeaEngine(grammar, self.params(elitism_count=8), small_ctx)
+        engine = GeaEngine(grammar, self.params(elitism_count=8))
         for i in engine.prepare_generation():
             engine.apply_results([(i, evaluate(engine.population[i], small_ctx))])
         engine.finish_generation()

@@ -1,17 +1,28 @@
 import pytest
 
 from dmmopt.devs import run_parallel
-from dmmopt.dmm_space import HwParams
-from dmmopt.ge import GeaEngine, GeParams, Individual, evaluate, make_context, run_sequential
+from dmmopt.dmm_space import DmmConfig, HwParams, kingsley_config, lea_config
+from dmmopt.ge import (
+    WORST_FITNESS,
+    GeaEngine,
+    GeParams,
+    Individual,
+    decode,
+    evaluate,
+    make_context,
+    run_sequential,
+)
 from dmmopt.grammar import load_default_grammar
 from dmmopt.pgea import MasterModel, WorkerModel, balance, build_topology, run_parallel_ge
 from dmmopt.trace import WorkloadSpec, synth_workload
 
 HW = HwParams()
+ADM = kingsley_config().adms[0]
 
 
 def inds(estimates):
-    return [Individual([i], sim_estimate=e) for i, e in enumerate(estimates)]
+    """Individuals whose simulation-time estimates (ADM counts) are `estimates`."""
+    return [Individual([i], phenotype=DmmConfig(adms=(ADM,) * e)) for i, e in enumerate(estimates)]
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +36,8 @@ def trace():
 
 
 @pytest.fixture(scope="module")
-def ctx(grammar, trace):
-    return make_context(grammar, trace, HW)
+def ctx(trace):
+    return make_context(trace, HW)
 
 
 class TestBalance:
@@ -66,9 +77,11 @@ class TestWorker:
         worker.delta_ext({})
         assert worker.phase == "passive" and worker.sigma == float("inf")
 
-    def test_batch_fitness_matches_direct_evaluate(self, ctx):
+    def test_batch_fitness_matches_direct_evaluate(self, grammar, ctx):
         worker = WorkerModel("w", lambda batch: [evaluate(ind, ctx) for ind in batch])
-        batch = [Individual([204, 142, 55, 201, 16, 44]), Individual([7, 3])]
+        golden = [204, 142, 55, 201, 16, 44]
+        batch = [Individual(golden, phenotype=decode(golden, grammar)),
+                 Individual([7, 3], phenotype=lea_config())]
         expected = [evaluate(ind.copy(), ctx).fitness for ind in batch]
         worker.delta_ext({"in": [batch]})
         assert worker.phase == "active" and worker.sigma == 0
@@ -79,43 +92,40 @@ class TestWorker:
         assert worker.phase == "passive" and worker.dmms == []
 
     def test_invalid_individual_comes_back_with_worst_fitness(self, ctx):
-        from dmmopt.ge import WORST_FITNESS
-
         worker = WorkerModel("w", lambda batch: [evaluate(ind, ctx) for ind in batch])
-        invalid = Individual([0], invalid=True)
+        # as GeaEngine.prepare_generation leaves it: scored, never simulated
+        invalid = Individual([0], invalid=True, fitness=WORST_FITNESS)
         worker.delta_ext({"in": [[invalid]]})
         assert worker.dmms[0].fitness == WORST_FITNESS
 
 
 class TestTopology:
-    def test_four_workers_is_five_models_eight_couplings(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1), ctx)
-        models, coupling, spec = build_topology(4, engine, lambda b: b)
+    def test_four_workers_is_five_models_eight_couplings(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1))
+        models, coupling = build_topology(4, engine, lambda b: b)
         assert len(models) == 5
         assert len(coupling.routes) == 8
-        assert len(spec.models) == 5
-        assert spec.placements == (("master", "worker_1"),)
 
-    def test_single_worker_is_two_models_two_couplings(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1), ctx)
-        models, coupling, _ = build_topology(1, engine, lambda b: b)
+    def test_single_worker_is_two_models_two_couplings(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1))
+        models, coupling = build_topology(1, engine, lambda b: b)
         assert len(models) == 2
         assert len(coupling.routes) == 2
 
-    def test_generated_coupling_validates(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1), ctx)
-        models, coupling, _ = build_topology(3, engine, lambda b: b)
+    def test_generated_coupling_validates(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1))
+        models, coupling = build_topology(3, engine, lambda b: b)
         coupling.validate(models)  # raises on failure
 
-    def test_zero_workers_rejected(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1), ctx)
+    def test_zero_workers_rejected(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=1))
         with pytest.raises(ValueError):
             build_topology(0, engine, lambda b: b)
 
 
 class TestMasterDispatch:
-    def test_sixty_individuals_make_four_batches_of_fifteen(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=60, generations=0, rng_seed=1), ctx)
+    def test_sixty_individuals_make_four_batches_of_fifteen(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=60, generations=0, rng_seed=1))
         master = MasterModel(engine, workers=4)
         outputs = master.output()
         sizes = {port: len(batch) for port, batch in outputs.items()}
@@ -128,8 +138,8 @@ class TestMasterDispatch:
         if skipped == 0:
             assert sizes == {f"oW_{j}": 15 for j in range(1, 5)}
 
-    def test_whole_population_on_one_worker(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1), ctx)
+    def test_whole_population_on_one_worker(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
         master = MasterModel(engine, workers=1)
         outputs = master.output()
         assert set(outputs) == {"oW_1"}
@@ -153,9 +163,9 @@ class TestEquivalence:
         assert [r.csv() for r in log_two] == [r.csv() for r in log_one]
 
     def test_event_sequence_with_single_worker(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1), ctx)
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
         evaluator = lambda batch: [evaluate(ind, ctx) for ind in batch]
-        models, coupling, _ = build_topology(1, engine, evaluator)
+        models, coupling = build_topology(1, engine, evaluator)
         log = run_parallel(models, coupling)
         kinds = [(r.model, r.kind) for r in log]
         assert kinds == [
@@ -168,9 +178,9 @@ class TestEquivalence:
         ]
 
     def test_event_log_shape_for_one_generation(self, grammar, ctx):
-        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1), ctx)
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
         evaluator = lambda batch: [evaluate(ind, ctx) for ind in batch]
-        models, coupling, _ = build_topology(2, engine, evaluator)
+        models, coupling = build_topology(2, engine, evaluator)
         log = run_parallel(models, coupling)
         kinds = [(r.model, r.kind) for r in log]
         assert kinds == [

@@ -9,12 +9,10 @@ from dmmopt.dmm_space import (
     BlockTags,
     DataStructureKind,
     DmmConfig,
-    FlexibleManager,
     HwParams,
     One,
     OsBackstop,
     SizeRange,
-    When,
 )
 from dmmopt.simulator import (
     FREE,
@@ -170,7 +168,7 @@ class TestSimulate:
         assert fitness(m, FitnessWeights()) == math.inf
 
     def test_simulate_rejects_invalid_configs(self):
-        bad = sll_first_fit(sizes=One(8), flexible_manager=FlexibleManager.SPLIT_AND_COALESCE)
+        bad = sll_first_fit(sizes=One(8), min_result_size=8, max_result_size=64)
         with pytest.raises(ValueError):
             simulate(bad, Trace(()), HW)
 
@@ -186,11 +184,8 @@ def split_and_coalesce_dmm(lo=8, hi=64 * 1024, min_result=8, max_result=64 * 102
         block_sizes=SizeRange(lo, hi),
         block_tags=BlockTags.HEADER_SIZE_STATUS,
         allocation_policy=AllocationPolicy.BEST_FIT,
-        flexible_manager=FlexibleManager.SPLIT_AND_COALESCE,
-        coalesce_when=When.IMMEDIATE,
-        max_result_size=max_result,
-        split_when=When.IMMEDIATE,
         min_result_size=min_result,
+        max_result_size=max_result,
     )
     return DmmConfig(adms=(adm,), backstop=OsBackstop())
 
