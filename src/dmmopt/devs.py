@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 INFINITY = math.inf
 
 PASSIVE = "passive"
 ACTIVE = "active"
+
+MAX_CYCLES = 1_000_000  # steps after which a run that has not quiesced is aborted
 
 
 class CausalityError(RuntimeError):
@@ -106,9 +108,6 @@ class EventRecord:
     note: str = ""
 
 
-UntilCondition = Callable[[float, Sequence[AtomicModel]], bool]
-
-
 def _payload_note(outputs: dict[str, Any]) -> str:
     parts = []
     for port, payload in outputs.items():
@@ -120,9 +119,7 @@ def _payload_note(outputs: dict[str, Any]) -> str:
 def run_parallel(
     models: Sequence[AtomicModel],
     coupling: Coupling,
-    until: UntilCondition | None = None,
     execution_units: int = 1,
-    max_cycles: int = 1_000_000,
 ) -> list[EventRecord]:
     """DEVS cycle with transitions of one step run on `execution_units` threads.
 
@@ -133,7 +130,7 @@ def run_parallel(
     time = 0.0
     pool = ThreadPoolExecutor(max_workers=execution_units) if execution_units > 1 else None
     try:
-        for _ in range(max_cycles):
+        for _ in range(MAX_CYCLES):
             for m in models:
                 if m.sigma < 0:
                     raise CausalityError(f"model {m.name!r} has negative sigma {m.sigma}")
@@ -144,8 +141,6 @@ def run_parallel(
             for m in models:
                 if m.sigma != INFINITY:
                     m.sigma -= advance
-            if until is not None and until(time, models):
-                return log
 
             imminent = [m for m in models if m.sigma == 0]
             inbox: dict[str, dict[str, list[Any]]] = {}
@@ -188,7 +183,7 @@ def run_parallel(
             # sequence does not depend on scheduling
             for model, kind, inputs in transitions:
                 log.append(EventRecord(time, model.name, kind, _payload_note(inputs)))
-        raise RuntimeError(f"simulation did not quiesce within {max_cycles} cycles")
+        raise RuntimeError(f"simulation did not quiesce within {MAX_CYCLES} cycles")
     finally:
         if pool is not None:
             pool.shutdown(wait=False)

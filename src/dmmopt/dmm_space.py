@@ -90,10 +90,6 @@ class AdmConfig:
     min_result_size: int | None = None  # split; None: never
     max_result_size: int | None = None  # coalesce; None: never
 
-    @property
-    def header_bytes(self) -> int:
-        return self.block_tags.header_bytes
-
 
 @dataclass(frozen=True)
 class OsBackstop:
@@ -137,8 +133,6 @@ def validate(dmm: DmmConfig) -> list[str]:
                 violations.append(f"{tag}: bad size range [{bs.lo}, {bs.hi}]")
             if adm.block_tags is BlockTags.NONE:
                 violations.append(f"{tag}: several block sizes need an in-block size field")
-        if adm.block_tags is BlockTags.NONE and flexible:
-            violations.append(f"{tag}: tag-less blocks cannot be coalesced or split")
         if mx is not None and adm.block_tags is not BlockTags.HEADER_SIZE_STATUS:
             violations.append(f"{tag}: coalescing needs size+status block tags")
         if mn is not None and mn < 1:

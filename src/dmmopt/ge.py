@@ -9,7 +9,9 @@ holding nonterminals after the wrap budget is invalid and receives the
 worst possible fitness. Unread trailing codons never affect the
 phenotype. The engine decodes and validates each new genotype once,
 when it prepares a generation, and scores the invalid ones there; only
-legal configurations reach the simulator.
+legal configurations reach the simulator. :func:`evaluate` returns a
+fitness and changes nothing; the engine is the only writer of an
+individual's fitness, whether it was computed inline or on a worker.
 
 Selection is tournament, variation is single-point crossover with
 independent cut points plus per-codon mutation, and the best
@@ -158,17 +160,14 @@ class EvalContext:
     weights: FitnessWeights
 
 
-def evaluate(ind: Individual, ctx: EvalContext) -> Individual:
-    """Simulate and score one pending individual.
+def evaluate(ind: Individual, ctx: EvalContext) -> float:
+    """Fitness of one pending individual; the individual is not changed.
 
     The individual must come from :meth:`GeaEngine.prepare_generation`,
     which decodes and validates; an exhausted simulation scores
     WORST_FITNESS.
     """
-    if ind.fitness is None:
-        metrics = simulate(ind.phenotype, ctx.trace, ctx.hw)
-        ind.fitness = fitness(metrics, ctx.weights)
-    return ind
+    return fitness(simulate(ind.phenotype, ctx.trace, ctx.hw), ctx.weights)
 
 
 @dataclass
@@ -195,9 +194,10 @@ class GeaEngine:
 
     The engine does not simulate: :meth:`prepare_generation` decodes and
     validates every new individual, scores the invalid ones itself and
-    returns the indices that still need a simulation. Callers score
-    those with :func:`evaluate` however they like (inline or on workers)
-    and hand the results back. A cache keyed by genotype skips
+    returns the indices that still need a simulation. Callers compute
+    those fitnesses with :func:`evaluate` however they like (inline or
+    on workers) and hand back ``(index, fitness)`` pairs, which
+    :meth:`apply_results` records. A cache keyed by genotype skips
     re-evaluation of unchanged individuals; fitness is a pure function
     of the genotype, so cached values are exact.
     """
@@ -239,9 +239,11 @@ class GeaEngine:
     def _remember(self, ind: Individual) -> None:
         self._cache[tuple(ind.genotype)] = (ind.fitness, ind.phenotype, ind.invalid)
 
-    def apply_results(self, results: list[tuple[int, Individual]]) -> None:
-        for index, ind in results:
-            self.population[index] = ind
+    def apply_results(self, results: list[tuple[int, float]]) -> None:
+        """Record the fitness computed for each pending index."""
+        for index, value in results:
+            ind = self.population[index]
+            ind.fitness = value
             self._remember(ind)
 
     def finish_generation(self) -> GenerationRow:

@@ -41,10 +41,6 @@ class Grammar:
     start: str
     productions: dict[str, tuple[Alternative, ...]]
 
-    @property
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self.productions)
-
     def group(self, nonterminal: str) -> tuple[Alternative, ...]:
         return self.productions[nonterminal]
 

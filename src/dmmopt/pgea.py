@@ -12,7 +12,9 @@ worker count.
 The master decodes and validates every candidate once, when it
 prepares a generation. Individuals that fail to map (or map to a
 constraint-violating configuration) are scored there and never
-dispatched; workers only simulate.
+dispatched; workers only simulate. A worker replies with one fitness
+per individual it received, in order, and the master's engine is the
+only writer of fitness.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .grammar import Grammar
 from .simulator import FitnessWeights
 from .trace import Trace
 
-BatchEvaluator = Callable[[list[Individual]], list[Individual]]
+BatchEvaluator = Callable[[list[Individual]], list[float]]
 
 
 def balance(
@@ -67,14 +69,10 @@ class MasterModel(devs.AtomicModel):
         self.output_ports = tuple(f"oW_{j}" for j in range(1, workers + 1))
         self.input_ports = tuple(f"iW_{j}" for j in range(1, workers + 1))
         self._outbox: dict[str, list[Individual]] = {}
+        # population indices of the batch each input port still owes
         self._sent_indices: dict[str, list[int]] = {}
-        self._awaiting: set[str] = set()
         self._prepare_dispatch()
         self.activate()
-
-    @property
-    def received(self) -> bool:
-        return not self._awaiting
 
     def _prepare_dispatch(self) -> None:
         pending = self.engine.prepare_generation()
@@ -84,9 +82,8 @@ class MasterModel(devs.AtomicModel):
         batches = balance(pairs, self.workers, estimate=lambda pair: pair[1].sim_estimate)
         for j, batch in enumerate(batches, start=1):
             if batch:
-                port = f"oW_{j}"
-                self._sent_indices[port.replace("oW", "iW")] = [i for i, _ in batch]
-                self._outbox[port] = [ind for _, ind in batch]
+                self._sent_indices[f"iW_{j}"] = [i for i, _ in batch]
+                self._outbox[f"oW_{j}"] = [ind for _, ind in batch]
 
     def output(self) -> dict[str, Any]:
         if self.phase != devs.ACTIVE:
@@ -94,9 +91,8 @@ class MasterModel(devs.AtomicModel):
         return dict(self._outbox)
 
     def delta_int(self) -> None:
-        self._awaiting = set(self._sent_indices)
         self._outbox.clear()
-        if self._awaiting:
+        if self._sent_indices:
             self.passivate()
         else:
             # nothing was dispatched (all cached or invalid): advance locally
@@ -104,15 +100,14 @@ class MasterModel(devs.AtomicModel):
 
     def delta_ext(self, inputs: dict[str, list[Any]]) -> None:
         for port, messages in inputs.items():
-            if port not in self._awaiting:
+            indices = self._sent_indices.pop(port, None)
+            if indices is None:
                 continue
-            indices = self._sent_indices.pop(port)
-            self._awaiting.discard(port)
-            merged: list[Individual] = []
+            merged: list[float] = []
             for batch in messages:
                 merged.extend(batch)
             self.engine.apply_results(list(zip(indices, merged)))
-        if self.received:
+        if not self._sent_indices:
             self._generation_done()
 
     def _generation_done(self) -> None:
@@ -129,7 +124,7 @@ class MasterModel(devs.AtomicModel):
 
 
 class WorkerModel(devs.AtomicModel):
-    """Evaluates incoming batches and returns them immediately."""
+    """Evaluates incoming batches and returns their fitnesses immediately."""
 
     input_ports = ("in",)
     output_ports = ("out",)
@@ -137,7 +132,8 @@ class WorkerModel(devs.AtomicModel):
     def __init__(self, name: str, evaluate_batch: BatchEvaluator):
         super().__init__(name)
         self.evaluate_batch = evaluate_batch
-        self.dmms: list[Individual] = []
+        # fitnesses of the batch just evaluated, in the order received
+        self.dmms: list[float] = []
 
     def output(self) -> dict[str, Any]:
         if self.phase != devs.ACTIVE:
@@ -152,7 +148,7 @@ class WorkerModel(devs.AtomicModel):
         messages = inputs.get("in")
         if not messages:
             return
-        evaluated: list[Individual] = []
+        evaluated: list[float] = []
         for batch in messages:
             evaluated.extend(self.evaluate_batch(batch))
         self.dmms = evaluated
@@ -185,7 +181,7 @@ def _pool_init(ctx: EvalContext) -> None:
     _POOL_CTX = ctx
 
 
-def _pool_eval_batch(batch: list[Individual]) -> list[Individual]:
+def _pool_eval_batch(batch: list[Individual]) -> list[float]:
     return [evaluate(ind, _POOL_CTX) for ind in batch]
 
 

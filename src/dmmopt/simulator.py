@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from .dmm_space import (
     BACKSTOP_HEADER_BYTES,
+    DEFAULT_HEAP_LIMIT,
     AdmConfig,
     AllocationPolicy,
     DataStructureKind,
@@ -441,8 +442,18 @@ class FitnessWeights:
 def default_weights(
     trace: Trace, hw: HwParams, weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 ) -> FitnessWeights:
-    """Equal weights normalized by the power-of-two segregated-fit baseline."""
+    """Equal weights normalized by the power-of-two segregated-fit baseline.
+
+    The baseline runs at the default heap limit. If it exhausts that heap
+    its metrics are partial, so this raises ValueError instead of
+    normalizing by them.
+    """
     baseline = simulate(kingsley_config(), trace, hw)
+    if baseline.exhausted:
+        raise ValueError(
+            f"fitness baseline kingsley exhausted its heap limit of {DEFAULT_HEAP_LIMIT} bytes; "
+            "no fitness can be normalized by a partial replay"
+        )
     return FitnessWeights.from_baseline(baseline, weights)
 
 

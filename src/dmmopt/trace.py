@@ -5,11 +5,13 @@ event per line in the on-disk form::
 
     <object_id> <A|F> <size> <address>
 
-`A` lines allocate `size` bytes for `object_id`; `F` lines free it
-(their size field is written as 0 and resolved from the matching
-allocation on parse). Addresses are carried verbatim but are purely
-informational: the heap simulator lays out its own address space.
-Lines starting with `#` are comments.
+`A` lines allocate `size` bytes for `object_id`; `F` lines free it.
+Object ids are non-negative. A free's size field is 0 or the size of
+its allocation, and the parsed event always carries the allocation's
+size; :func:`serialize_trace` writes 0. Addresses are carried verbatim
+but are purely informational: the heap simulator lays out its own
+address space. Lines starting with `#` are comments. Every error in
+the text names its 1-based line.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 
 class TraceError(ValueError):
@@ -41,12 +43,6 @@ class TraceEvent:
     size: int
     address: int = 0
 
-    def __post_init__(self):
-        if self.object_id < 0:
-            raise TraceError(f"negative object id {self.object_id}")
-        if self.kind is EventKind.ALLOC and self.size < 1:
-            raise TraceError(f"allocation of {self.size} bytes (minimum is 1)")
-
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -64,54 +60,17 @@ class TraceStats:
         return self.distinct_sizes[-1]
 
 
-def _check_events(events: Sequence[TraceEvent]) -> None:
-    """Validate liveness: frees match a live alloc, ids are live at most once."""
-    live: dict[int, int] = {}
-    for pos, ev in enumerate(events):
-        if ev.kind is EventKind.ALLOC:
-            if ev.object_id in live:
-                raise TraceError(f"object {ev.object_id} allocated while still live", pos + 1)
-            live[ev.object_id] = ev.size
-        else:
-            if ev.object_id not in live:
-                raise TraceError(f"free of object {ev.object_id} without matching alloc", pos + 1)
-            expected = live.pop(ev.object_id)
-            if ev.size not in (0, expected):
-                raise TraceError(
-                    f"free of object {ev.object_id} carries size {ev.size}, alloc was {expected}",
-                    pos + 1,
-                )
-
-
-def _resolve_free_sizes(events: Iterable[TraceEvent]) -> tuple[TraceEvent, ...]:
-    live: dict[int, int] = {}
-    out: list[TraceEvent] = []
-    for ev in events:
-        if ev.kind is EventKind.ALLOC:
-            live[ev.object_id] = ev.size
-            out.append(ev)
-        else:
-            size = live.pop(ev.object_id)
-            out.append(TraceEvent(ev.object_id, EventKind.FREE, size, ev.address))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Trace:
-    """Immutable, validated event sequence.
+    """Immutable event sequence.
 
-    Construct through :meth:`from_events`, :func:`parse_trace` or
-    :func:`synth_workload`; all of them enforce the liveness invariants,
-    and free events carry the size resolved from their matching alloc.
+    Construct through :func:`parse_trace` or :func:`synth_workload`:
+    both produce only traces that keep the liveness invariants, and their
+    free events carry the size of the matching alloc. ``Trace(events)``
+    itself checks nothing.
     """
 
     events: tuple[TraceEvent, ...]
-
-    @classmethod
-    def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
-        events = tuple(events)
-        _check_events(events)
-        return cls(_resolve_free_sizes(events))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -165,6 +124,8 @@ def parse_trace(text: str | bytes) -> Trace:
             address = int(parts[3], 0)
         except ValueError as exc:
             raise TraceError(f"non-numeric field in {raw!r}", lineno) from exc
+        if object_id < 0:
+            raise TraceError(f"negative object id {object_id}", lineno)
         if parts[1] == "A":
             if object_id in live:
                 raise TraceError(f"object {object_id} allocated while still live", lineno)
@@ -175,7 +136,13 @@ def parse_trace(text: str | bytes) -> Trace:
         elif parts[1] == "F":
             if object_id not in live:
                 raise TraceError(f"free of object {object_id} without matching alloc", lineno)
-            events.append(TraceEvent(object_id, EventKind.FREE, live.pop(object_id), address))
+            alloc_size = live.pop(object_id)
+            if size not in (0, alloc_size):
+                raise TraceError(
+                    f"free of object {object_id} carries size {size}, alloc was {alloc_size}",
+                    lineno,
+                )
+            events.append(TraceEvent(object_id, EventKind.FREE, alloc_size, address))
         else:
             raise TraceError(f"unknown operation {parts[1]!r} (expected A or F)", lineno)
     return Trace(tuple(events))
@@ -276,15 +243,15 @@ def synth_workload(spec: WorkloadSpec, seed: int | None = None) -> Trace:
     rng = random.Random(spec.seed if seed is None else seed)
     n_allocs = spec.events // 2
     remaining_allocs = n_allocs
-    live_ids: list[int] = []
+    live: list[tuple[int, int]] = []  # (object id, size)
     next_id = 1
     next_addr = 0x10000
     events: list[TraceEvent] = []
     sizes, weights, size_range = spec.sizes, spec.weights, spec.size_range
 
     while len(events) < spec.events:
-        can_alloc = remaining_allocs > 0 and len(live_ids) < spec.live_cap
-        can_free = bool(live_ids)
+        can_alloc = remaining_allocs > 0 and len(live) < spec.live_cap
+        can_free = bool(live)
         if can_alloc and (not can_free or rng.random() < spec.alloc_ratio):
             if size_range is not None:
                 size = rng.randint(*size_range)
@@ -293,13 +260,14 @@ def synth_workload(spec: WorkloadSpec, seed: int | None = None) -> Trace:
             else:
                 size = rng.choice(sizes)
             events.append(TraceEvent(next_id, EventKind.ALLOC, size, next_addr))
-            live_ids.append(next_id)
+            live.append((next_id, size))
             next_id += 1
             next_addr += size + 16
             remaining_allocs -= 1
         else:
-            pos = rng.randrange(len(live_ids))
+            pos = rng.randrange(len(live))
             # swap-pop keeps free-target choice O(1) without biasing the rng stream
-            live_ids[pos], live_ids[-1] = live_ids[-1], live_ids[pos]
-            events.append(TraceEvent(live_ids.pop(), EventKind.FREE, 0, 0))
-    return Trace.from_events(events)
+            live[pos], live[-1] = live[-1], live[pos]
+            object_id, size = live.pop()
+            events.append(TraceEvent(object_id, EventKind.FREE, size, 0))
+    return Trace(tuple(events))

@@ -162,8 +162,24 @@ def test_missing_input_file_is_exit_code_1(tmp_path, capsys):
 
 def test_bad_trace_is_exit_code_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 F 0 0\n")
-    assert main(["stats", "--trace", str(bad)]) == 1
+    for text, line in [("1 F 0 0\n", 1), ("-1 A 8 0\n", 1), ("1 A 8 0\n1 F 999 0\n", 2)]:
+        bad.write_text(text)
+        assert main(["stats", "--trace", str(bad)]) == 1
+        assert f"error: line {line}: " in capsys.readouterr().err
+
+
+def test_exhausted_fitness_baseline_is_exit_code_1(tmp_path, capsys):
+    # the 1 GiB object overflows the baseline's default heap, not --memory-size
+    trace = tmp_path / "big.txt"
+    trace.write_text(f"1 A {2**30} 0\n1 F 0 0\n")
+    dmm = tmp_path / "k.txt"
+    dmm.write_text(serialize_dmm(kingsley_config(heap_limit=2**33)))
+    code = main(["simulate", "--dmm", str(dmm), "--trace", str(trace),
+                 "--memory-size", str(2**33)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "kingsley" in captured.err and str(2**30) in captured.err
+    assert captured.out == ""
 
 
 def test_exhaustion_is_exit_code_2(workdir, capsys):

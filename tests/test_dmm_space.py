@@ -64,7 +64,7 @@ RULE_CASES = [
     ("range-reversed", range_adm(block_sizes=SizeRange(64, 8)), "bad size range"),
     ("range-below-1", range_adm(block_sizes=SizeRange(0, 8)), "bad size range"),
     ("range-tagless", range_adm(block_tags=BlockTags.NONE), "in-block size field"),
-    ("tagless-splits", range_adm(block_tags=BlockTags.NONE, min_result_size=8), "tag-less blocks"),
+    ("tagless-splits", range_adm(block_tags=BlockTags.NONE, min_result_size=8), "in-block size field"),
     ("coalesce-without-status", range_adm(max_result_size=64), "coalescing needs size+status"),
     ("min-below-1", range_adm(min_result_size=0), "min_result_size >= 1"),
     ("max-below-1", range_adm(block_tags=STATUS, max_result_size=0), "max_result_size >= 1"),
@@ -91,7 +91,10 @@ class TestValidate:
     def test_tagless_blocks_cannot_coalesce(self):
         adm = one_adm(block_tags=BlockTags.NONE, max_result_size=64)
         problems = validate(DmmConfig(adms=(adm,)))
-        assert any("cannot be coalesced or split" in p for p in problems)
+        assert problems == [
+            "adm[0]: One block size cannot be split or coalesced",
+            "adm[0]: coalescing needs size+status block tags",
+        ]
 
     def test_range_needs_size_field(self):
         adm = one_adm(block_sizes=SizeRange(8, 64), block_tags=BlockTags.NONE)

@@ -3,7 +3,6 @@ import pytest
 from dmmopt.devs import run_parallel
 from dmmopt.dmm_space import DmmConfig, HwParams, kingsley_config, lea_config
 from dmmopt.ge import (
-    WORST_FITNESS,
     GeaEngine,
     GeParams,
     Individual,
@@ -44,7 +43,7 @@ class TestBalance:
     def test_single_worker_gets_everything(self):
         population = inds([3, 1, 2])
         batches = balance(population, 1)
-        assert batches == [population[:1] + population[2:] + population[1:2]] or len(batches[0]) == 3
+        assert batches == [population[:1] + population[2:] + population[1:2]]
 
     def test_sorted_round_robin_example(self):
         batches = balance(inds([5, 4, 3, 2, 2, 1]), 2)
@@ -82,21 +81,15 @@ class TestWorker:
         golden = [204, 142, 55, 201, 16, 44]
         batch = [Individual(golden, phenotype=decode(golden, grammar)),
                  Individual([7, 3], phenotype=lea_config())]
-        expected = [evaluate(ind.copy(), ctx).fitness for ind in batch]
+        expected = [evaluate(ind, ctx) for ind in batch]
         worker.delta_ext({"in": [batch]})
         assert worker.phase == "active" and worker.sigma == 0
-        assert [ind.fitness for ind in worker.dmms] == expected
+        assert worker.dmms == expected  # one float per individual, in order
+        assert all(ind.fitness is None for ind in batch)
         out = worker.output()
         assert out["out"] is worker.dmms
         worker.delta_int()
         assert worker.phase == "passive" and worker.dmms == []
-
-    def test_invalid_individual_comes_back_with_worst_fitness(self, ctx):
-        worker = WorkerModel("w", lambda batch: [evaluate(ind, ctx) for ind in batch])
-        # as GeaEngine.prepare_generation leaves it: scored, never simulated
-        invalid = Individual([0], invalid=True, fitness=WORST_FITNESS)
-        worker.delta_ext({"in": [[invalid]]})
-        assert worker.dmms[0].fitness == WORST_FITNESS
 
 
 class TestTopology:

@@ -41,6 +41,14 @@ def test_duplicate_live_object_id():
     assert err.value.line == 2
 
 
+def test_free_carries_zero_or_its_alloc_size():
+    assert parse_trace("1 A 8 0\n1 F 8 0\n") == parse_trace("1 A 8 0\n1 F 0 0\n")
+    for size in (999, -5):
+        with pytest.raises(TraceError) as err:
+            parse_trace(f"1 A 8 0\n1 F {size} 0\n")
+        assert err.value.line == 2
+
+
 def test_object_id_reusable_after_free():
     t = parse_trace("1 A 8 0\n1 F 0 0\n1 A 16 0\n1 F 0 0\n")
     assert t.stats.distinct_sizes == (8, 16)
@@ -52,6 +60,9 @@ def test_malformed_line_reports_line_number():
     assert err.value.line == 2
     with pytest.raises(TraceError) as err:
         parse_trace("1 X 8 0")
+    assert err.value.line == 1
+    with pytest.raises(TraceError) as err:
+        parse_trace("-1 A 8 0")  # negative object id
     assert err.value.line == 1
     with pytest.raises(TraceError):
         parse_trace("1 A zero 0")
