@@ -6,7 +6,6 @@
     simulate     replay a trace through one DMM, print its metrics
     optimize     evolve a DMM for a trace (sequential or master-worker)
     compare      evolved DMM vs the Kingsley/Lea-style baselines
-    bench        wall-clock speedup of the parallel optimizer
 
 Exit codes: 0 success, 1 input error, 2 heap exhaustion, 3 internal failure.
 Every report starts with a `#` line echoing the exact invocation.
@@ -15,9 +14,7 @@ Every report starts with a `#` line echoing the exact invocation.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from .dmm_space import HwParams, kingsley_config, lea_config, parse_dmm, serialize_dmm
@@ -219,47 +216,6 @@ def cmd_compare(args, argv) -> int:
     return 0
 
 
-def cmd_bench(args, argv) -> int:
-    trace = parse_trace(_read(args.trace))
-    grammar = parse_grammar(_read(args.grammar) if args.grammar else load_default_grammar_text())
-    hw = _hw_from(args)
-    weights = _weights_for(args, trace, hw)
-    params = _ge_params(args)
-    workers = [int(w) for w in args.workers.split(",")]
-    units = [int(u) for u in args.units.split(",")]
-
-    def timed(fn) -> list[float]:
-        samples = []
-        for _ in range(args.trials):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        return samples
-
-    seq = timed(lambda: run_sequential(grammar, trace, hw, params, weights=weights))
-    seq_mean = statistics.mean(seq)
-    lines = [
-        _invocation(argv),
-        "mode,workers,units,trials,mean_seconds,stddev_seconds,speedup\n",
-        f"sequential,0,0,{args.trials},{seq_mean:.4f},"
-        f"{statistics.stdev(seq) if len(seq) > 1 else 0.0:.4f},1.0000\n",
-    ]
-    for w in workers:
-        for u in units:
-            samples = timed(
-                lambda: run_parallel_ge(
-                    grammar, trace, hw, params, workers=w, execution_units=u, weights=weights
-                )
-            )
-            mean = statistics.mean(samples)
-            stddev = statistics.stdev(samples) if len(samples) > 1 else 0.0
-            lines.append(
-                f"parallel,{w},{u},{args.trials},{mean:.4f},{stddev:.4f},{seq_mean / mean:.4f}\n"
-            )
-    _emit(args.out, "".join(lines))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmmopt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -315,21 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hw_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("bench", help="speedup of the parallel optimizer")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--grammar", default=None)
-    p.add_argument("--workers", default="1,2,4", help="comma list of worker counts")
-    p.add_argument("--units", default="1,4", help="comma list of process counts")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generations", type=int, default=2)
-    p.add_argument("--pop", type=int, default=60)
-    p.add_argument("--pc", type=float, default=0.80)
-    p.add_argument("--pm", type=float, default=0.02)
-    _add_hw_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

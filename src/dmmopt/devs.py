@@ -9,17 +9,19 @@ external events by running `delta_int` then `delta_ext`.
 
 The coordinator advances virtual time to the minimum time-of-next-event,
 collects the imminent models' outputs, routes them through the coupling,
-and then executes each affected model's transition. Transitions of
-distinct models at one virtual time are independent, so
-:func:`run_parallel` may execute them concurrently; the event log it
-returns is byte-identical to the sequential one because log entries are
-recorded in fixed model order after the step completes.
+and then executes each affected model's transition, one model after
+another in fixed model order: imminent models first, then models that
+only received input, each logged as it runs. The kernel starts no
+threads. A model whose work takes long, such as a worker evaluating a
+batch, starts that work in its transition and waits for it in its
+output function; the work started by several models at one virtual
+time then runs concurrently outside the kernel, and the event log does
+not depend on how long it takes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -116,75 +118,49 @@ def _payload_note(outputs: dict[str, Any]) -> str:
     return ",".join(parts)
 
 
-def run_parallel(
-    models: Sequence[AtomicModel],
-    coupling: Coupling,
-    execution_units: int = 1,
-) -> list[EventRecord]:
-    """DEVS cycle with transitions of one step run on `execution_units` threads.
+def run_parallel(models: Sequence[AtomicModel], coupling: Coupling) -> list[EventRecord]:
+    """Run the DEVS cycle until every model is passive; return the event log.
 
-    The returned event log is independent of `execution_units`.
+    Every output and transition runs inline, one model after another.
     """
     coupling.validate(models)
     log: list[EventRecord] = []
     time = 0.0
-    pool = ThreadPoolExecutor(max_workers=execution_units) if execution_units > 1 else None
-    try:
-        for _ in range(MAX_CYCLES):
-            for m in models:
-                if m.sigma < 0:
-                    raise CausalityError(f"model {m.name!r} has negative sigma {m.sigma}")
-            advance = min((m.sigma for m in models), default=INFINITY)
-            if advance == INFINITY:
-                return log
-            time += advance
-            for m in models:
-                if m.sigma != INFINITY:
-                    m.sigma -= advance
+    for _ in range(MAX_CYCLES):
+        for m in models:
+            if m.sigma < 0:
+                raise CausalityError(f"model {m.name!r} has negative sigma {m.sigma}")
+        advance = min((m.sigma for m in models), default=INFINITY)
+        if advance == INFINITY:
+            return log
+        time += advance
+        for m in models:
+            if m.sigma != INFINITY:
+                m.sigma -= advance
 
-            imminent = [m for m in models if m.sigma == 0]
-            inbox: dict[str, dict[str, list[Any]]] = {}
-            for m in imminent:
-                outputs = m.output()
-                log.append(EventRecord(time, m.name, "lambda", _payload_note(outputs)))
-                for port, payload in outputs.items():
-                    for dst, in_port in coupling.destinations(m.name, port):
-                        inbox.setdefault(dst, {}).setdefault(in_port, []).append(payload)
+        imminent = [m for m in models if m.sigma == 0]
+        inbox: dict[str, dict[str, list[Any]]] = {}
+        for m in imminent:
+            outputs = m.output()
+            log.append(EventRecord(time, m.name, "lambda", _payload_note(outputs)))
+            for port, payload in outputs.items():
+                for dst, in_port in coupling.destinations(m.name, port):
+                    inbox.setdefault(dst, {}).setdefault(in_port, []).append(payload)
 
-            # imminent models transition before input-only receivers, matching
-            # the output-then-internal-transition reading of the formalism
-            transitions: list[tuple[AtomicModel, str, dict[str, list[Any]]]] = []
-            receivers: list[tuple[AtomicModel, str, dict[str, list[Any]]]] = []
-            for m in models:
-                inputs = inbox.get(m.name)
-                if m.sigma == 0 and inputs:
-                    transitions.append((m, "delta_con", inputs))
-                elif m.sigma == 0:
-                    transitions.append((m, "delta_int", {}))
-                elif inputs:
-                    receivers.append((m, "delta_ext", inputs))
-            transitions += receivers
-
-            def run_one(entry):
-                model, kind, inputs = entry
-                if kind == "delta_con":
-                    model.delta_con(inputs)
-                elif kind == "delta_int":
-                    model.delta_int()
-                else:
-                    model.delta_ext(inputs)
-
-            if pool is not None and len(transitions) > 1:
-                list(pool.map(run_one, transitions))
-            else:
-                for entry in transitions:
-                    run_one(entry)
-            # log in fixed model order, after the whole step, so the record
-            # sequence does not depend on scheduling
-            for model, kind, inputs in transitions:
-                log.append(EventRecord(time, model.name, kind, _payload_note(inputs)))
-        raise RuntimeError(f"simulation did not quiesce within {MAX_CYCLES} cycles")
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-
+        # imminent models transition before input-only receivers, matching
+        # the output-then-internal-transition reading of the formalism
+        receivers: list[tuple[AtomicModel, dict[str, list[Any]]]] = []
+        for m in models:
+            inputs = inbox.get(m.name)
+            if m.sigma == 0 and inputs:
+                m.delta_con(inputs)
+                log.append(EventRecord(time, m.name, "delta_con", _payload_note(inputs)))
+            elif m.sigma == 0:
+                m.delta_int()
+                log.append(EventRecord(time, m.name, "delta_int", ""))
+            elif inputs:
+                receivers.append((m, inputs))
+        for m, inputs in receivers:
+            m.delta_ext(inputs)
+            log.append(EventRecord(time, m.name, "delta_ext", _payload_note(inputs)))
+    raise RuntimeError(f"simulation did not quiesce within {MAX_CYCLES} cycles")

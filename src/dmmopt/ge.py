@@ -44,8 +44,8 @@ class Individual:
     fitness: float | None = None
 
     @property
-    def sim_estimate(self) -> int:
-        """Simulation-time estimate used for load balancing: the ADM count."""
+    def adm_count(self) -> int:
+        """ADMs in the phenotype (0 without one); the log's `best_adm_count`."""
         return len(self.phenotype.adms) if self.phenotype is not None else 0
 
     def copy(self) -> "Individual":
@@ -254,7 +254,7 @@ class GeaEngine:
             generation=self.generation,
             best_fitness=pop[best_i].fitness,
             mean_fitness=sum(finite) / len(finite) if finite else WORST_FITNESS,
-            best_adm_count=pop[best_i].sim_estimate,
+            best_adm_count=pop[best_i].adm_count,
             invalid_count=sum(1 for ind in pop if ind.invalid),
             best_genotype=tuple(pop[best_i].genotype),
         )

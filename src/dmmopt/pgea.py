@@ -1,13 +1,19 @@
 """Parallel grammatical evolution as a DEVS master-worker model.
 
 The master owns the population and all stochastic operators; workers
-only evaluate. Per generation the master estimates each candidate's
-simulation cost (its ADM count), sorts descending and deals the
-candidates round-robin into one batch per worker, then waits until all
-batches return before stepping the population. Selection noise is
-consumed exclusively on the master and evaluation is deterministic, so
-the search trajectory is identical to the sequential loop for any
-worker count.
+only evaluate. Per generation the master deals the candidates
+round-robin into one batch per worker, then waits until all batches
+return before stepping the population. Selection noise is consumed
+exclusively on the master and evaluation is deterministic, so the
+search trajectory is identical to the sequential loop for any worker
+count.
+
+The process pool of :func:`run_parallel_ge` is the only source of
+concurrency; the DEVS kernel runs every transition inline. A worker
+starts its batch when the batch arrives (`delta_ext`) and waits for
+the batch's fitnesses in its output function, so every batch of a
+generation is in the pool before any worker waits. With one execution
+unit a batch is evaluated in-process when it is started.
 
 The master decodes and validates every candidate once, when it
 prepares a generation. Individuals that fail to map (or map to a
@@ -37,26 +43,19 @@ from .grammar import Grammar
 from .simulator import FitnessWeights
 from .trace import Trace
 
-BatchEvaluator = Callable[[list[Individual]], list[float]]
+# a started batch: calling it waits for the batch's fitnesses, in order
+BatchHandle = Callable[[], list[float]]
+BatchEvaluator = Callable[[list[Individual]], BatchHandle]
 
 
-def balance(
-    individuals: Sequence[Any], workers: int, estimate: Callable[[Any], int] | None = None
-) -> list[list[Any]]:
-    """Sorted round-robin partition by descending simulation-time estimate.
+def balance(individuals: Sequence[Any], workers: int) -> list[list[Any]]:
+    """Round-robin partition: item k goes to batch k mod `workers`.
 
-    Batch sizes differ by at most one and the batches partition the
-    input; ties keep their original order so the result is deterministic.
+    Batch sizes differ by at most one, and each batch keeps input order.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
-    if estimate is None:
-        estimate = lambda ind: ind.sim_estimate
-    order = sorted(range(len(individuals)), key=lambda i: -estimate(individuals[i]))
-    batches: list[list[Any]] = [[] for _ in range(workers)]
-    for pos, idx in enumerate(order):
-        batches[pos % workers].append(individuals[idx])
-    return batches
+    return [list(individuals[j::workers]) for j in range(workers)]
 
 
 class MasterModel(devs.AtomicModel):
@@ -79,7 +78,7 @@ class MasterModel(devs.AtomicModel):
         pairs = [(i, self.engine.population[i]) for i in pending]
         self._outbox.clear()
         self._sent_indices.clear()
-        batches = balance(pairs, self.workers, estimate=lambda pair: pair[1].sim_estimate)
+        batches = balance(pairs, self.workers)
         for j, batch in enumerate(batches, start=1):
             if batch:
                 self._sent_indices[f"iW_{j}"] = [i for i, _ in batch]
@@ -124,7 +123,7 @@ class MasterModel(devs.AtomicModel):
 
 
 class WorkerModel(devs.AtomicModel):
-    """Evaluates incoming batches and returns their fitnesses immediately."""
+    """Starts each incoming batch on arrival; its output waits for the fitnesses."""
 
     input_ports = ("in",)
     output_ports = ("out",)
@@ -132,15 +131,18 @@ class WorkerModel(devs.AtomicModel):
     def __init__(self, name: str, evaluate_batch: BatchEvaluator):
         super().__init__(name)
         self.evaluate_batch = evaluate_batch
-        # fitnesses of the batch just evaluated, in the order received
+        self._started: list[BatchHandle] = []
+        # fitnesses of the batches just collected, in the order received
         self.dmms: list[float] = []
 
     def output(self) -> dict[str, Any]:
         if self.phase != devs.ACTIVE:
             return {}
+        self.dmms = [fit for wait in self._started for fit in wait()]
         return {"out": self.dmms}
 
     def delta_int(self) -> None:
+        self._started = []
         self.dmms = []
         self.passivate()
 
@@ -148,10 +150,7 @@ class WorkerModel(devs.AtomicModel):
         messages = inputs.get("in")
         if not messages:
             return
-        evaluated: list[float] = []
-        for batch in messages:
-            evaluated.extend(self.evaluate_batch(batch))
-        self.dmms = evaluated
+        self._started = [self.evaluate_batch(batch) for batch in messages]
         self.activate()
 
 
@@ -185,6 +184,12 @@ def _pool_eval_batch(batch: list[Individual]) -> list[float]:
     return [evaluate(ind, _POOL_CTX) for ind in batch]
 
 
+def _eval_now(batch: list[Individual], ctx: EvalContext) -> BatchHandle:
+    """Evaluate in-process when started; the handle returns at once."""
+    fitnesses = [evaluate(ind, ctx) for ind in batch]
+    return lambda: fitnesses
+
+
 def run_parallel_ge(
     grammar: Grammar,
     trace: Trace,
@@ -209,11 +214,11 @@ def run_parallel_ge(
             )
             evaluate_batch: BatchEvaluator = lambda batch: pool.submit(
                 _pool_eval_batch, batch
-            ).result()
+            ).result
         else:
-            evaluate_batch = lambda batch: [evaluate(ind, ctx) for ind in batch]
+            evaluate_batch = lambda batch: _eval_now(batch, ctx)
         models, coupling = build_topology(workers, engine, evaluate_batch)
-        events = devs.run_parallel(models, coupling, execution_units=execution_units)
+        events = devs.run_parallel(models, coupling)
     finally:
         if pool is not None:
             pool.shutdown()

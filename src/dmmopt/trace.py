@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 
 class TraceError(ValueError):
@@ -29,6 +29,14 @@ class TraceError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class WorkloadSpecError(ValueError):
+    """A :class:`WorkloadSpec` field out of range; `key` names its spec-file key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
 
 
 class EventKind(Enum):
@@ -176,27 +184,38 @@ class WorkloadSpec:
 
     def __post_init__(self):
         if (self.sizes is None) == (self.size_range is None):
-            raise ValueError("exactly one of sizes/size_range must be given")
+            raise WorkloadSpecError("sizes", "exactly one of sizes/size_range must be given")
         if self.sizes is not None:
             if not self.sizes or min(self.sizes) < 1:
-                raise ValueError("sizes must be non-empty and >= 1 byte")
+                raise WorkloadSpecError("sizes", "sizes must be non-empty and >= 1 byte")
             if self.weights is not None and len(self.weights) != len(self.sizes):
-                raise ValueError("weights must match sizes in length")
+                raise WorkloadSpecError("weights", "weights must match sizes in length")
         if self.size_range is not None:
             lo, hi = self.size_range
             if lo < 1 or hi < lo:
-                raise ValueError(f"bad size range {self.size_range}")
+                raise WorkloadSpecError("sizes", f"bad size range {self.size_range}")
         if self.events < 0 or self.events % 2:
-            raise ValueError("events must be a non-negative even number")
+            raise WorkloadSpecError("events", "events must be a non-negative even number")
         if self.events and self.live_cap < 1:
-            raise ValueError("live_cap 0 with allocations requested is infeasible")
+            raise WorkloadSpecError(
+                "live_cap", "live_cap 0 with allocations requested is infeasible"
+            )
         if not 0.0 < self.alloc_ratio < 1.0:
-            raise ValueError("alloc_ratio must be strictly between 0 and 1")
+            raise WorkloadSpecError("alloc_ratio", "alloc_ratio must be strictly between 0 and 1")
+
+
+def _sizes_field(text: str) -> dict[str, tuple[int, ...]]:
+    if ".." in text:
+        return {"size_range": tuple(int(s) for s in text.split("..", 1))}
+    return {"sizes": tuple(int(s) for s in text.split(","))}
 
 
 def parse_workload_spec(text: str) -> WorkloadSpec:
-    """Read the key-value workload file (sizes, weights, events, live_cap, seed)."""
-    fields: dict[str, str] = {}
+    """Read the key-value workload file (sizes, weights, events, live_cap, seed).
+
+    A bad or out-of-range value names its line; a missing field names the field.
+    """
+    fields: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,33 +223,32 @@ def parse_workload_spec(text: str) -> WorkloadSpec:
         if "=" not in line:
             raise TraceError(f"expected key = value, got {raw!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+        fields[key] = (value, lineno)
 
-    def require(key: str) -> str:
+    for key in ("sizes", "events", "live_cap"):
         if key not in fields:
             raise TraceError(f"workload spec is missing required field {key!r}")
-        return fields[key]
 
-    sizes_text = require("sizes")
-    sizes: tuple[int, ...] | None = None
-    size_range: tuple[int, int] | None = None
-    if ".." in sizes_text:
-        lo, hi = (int(s) for s in sizes_text.split("..", 1))
-        size_range = (lo, hi)
-    else:
-        sizes = tuple(int(s) for s in sizes_text.split(","))
-    weights = None
-    if "weights" in fields:
-        weights = tuple(float(w) for w in fields["weights"].split(","))
-    return WorkloadSpec(
-        events=int(require("events")),
-        live_cap=int(require("live_cap")),
-        sizes=sizes,
-        weights=weights,
-        size_range=size_range,
-        seed=int(fields.get("seed", "0")),
-        alloc_ratio=float(fields.get("alloc_ratio", "0.5")),
-    )
+    def field(key: str, convert: Callable[[str], Any], default: Any = None) -> Any:
+        if key not in fields:
+            return default
+        value, lineno = fields[key]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise TraceError(f"bad {key} value {value!r}: {exc}", lineno) from exc
+
+    try:
+        return WorkloadSpec(
+            **field("sizes", _sizes_field),
+            events=field("events", int),
+            live_cap=field("live_cap", int),
+            weights=field("weights", lambda t: tuple(float(w) for w in t.split(","))),
+            seed=field("seed", int, 0),
+            alloc_ratio=field("alloc_ratio", float, 0.5),
+        )
+    except WorkloadSpecError as exc:
+        raise TraceError(str(exc), fields[exc.key][1]) from exc
 
 
 def synth_workload(spec: WorkloadSpec, seed: int | None = None) -> Trace:

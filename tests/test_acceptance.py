@@ -19,7 +19,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from dmmopt.devs import run_parallel as devs_run_parallel
 from dmmopt.dmm_space import (
     AdmConfig,
     AllocationPolicy,
@@ -35,7 +34,7 @@ from dmmopt.dmm_space import (
 )
 from dmmopt.ge import GeaEngine, GeParams, derive, evaluate, make_context, run_sequential
 from dmmopt.grammar import generate_grammar, load_default_grammar, parse_grammar
-from dmmopt.pgea import build_topology, run_parallel_ge
+from dmmopt.pgea import run_parallel_ge
 from dmmopt.simulator import FREE, Block, HeapSim, default_weights, fitness, simulate
 from dmmopt.trace import EventKind, Trace, WorkloadSpec, synth_workload
 
@@ -308,17 +307,16 @@ def test_criterion_9_devs_event_log_determinism():
     with criterion(9, "event logs invariant across execution units; order as traced"):
         trace = synth_workload(WorkloadSpec(events=600, live_cap=15, sizes=(40, 100), seed=6))
         grammar = load_default_grammar()
-        ctx = make_context(trace, HW)
         params = GeParams(population_size=8, generations=2, rng_seed=13)
 
-        logs = []
-        for units in (1, 2, 4):
-            engine = GeaEngine(grammar, params)
-            models, coupling = build_topology(
-                2, engine, lambda batch: [evaluate(ind, ctx) for ind in batch]
-            )
-            logs.append(devs_run_parallel(models, coupling, execution_units=units))
+        runs = [
+            run_parallel_ge(grammar, trace, HW, params, workers=2, execution_units=units)
+            for units in (1, 2, 4)
+        ]
+        logs = [events for _, _, events in runs]
         assert logs[0] == logs[1] == logs[2]
+        search_logs = [[row.csv() for row in log] for _, log, _ in runs]
+        assert search_logs[0] == search_logs[1] == search_logs[2]
 
         one_generation = [(r.model, r.kind) for r in logs[0][:9]]
         assert one_generation == [

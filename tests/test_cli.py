@@ -166,6 +166,12 @@ def test_bad_trace_is_exit_code_1(tmp_path, capsys):
         bad.write_text(text)
         assert main(["stats", "--trace", str(bad)]) == 1
         assert f"error: line {line}: " in capsys.readouterr().err
+    spec = tmp_path / "w.cfg"
+    for text, line in [("sizes = 8,x\nevents = 10\nlive_cap = 2\n", 1),
+                       ("sizes = 8\nevents = 11\nlive_cap = 2\n", 2)]:
+        spec.write_text(text)
+        assert main(["synth", "--spec", str(spec)]) == 1
+        assert f"error: line {line}: " in capsys.readouterr().err
 
 
 def test_exhausted_fitness_baseline_is_exit_code_1(tmp_path, capsys):
@@ -187,14 +193,3 @@ def test_exhaustion_is_exit_code_2(workdir, capsys):
     dmm.write_text(serialize_dmm(kingsley_config(heap_limit=64)))
     code = main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt")])
     assert code == 2
-
-
-def test_bench_smoke(workdir):
-    out = workdir / "bench.csv"
-    assert main(["bench", "--trace", str(workdir / "t.txt"), "--workers", "1",
-                 "--units", "1", "--trials", "1", "--generations", "1",
-                 "--pop", "8", "--out", str(out)]) == 0
-    rows = lines_of(out)
-    assert rows[1] == "mode,workers,units,trials,mean_seconds,stddev_seconds,speedup"
-    assert rows[2].startswith("sequential,0,0,1,")
-    assert rows[3].startswith("parallel,1,1,1,")

@@ -145,18 +145,3 @@ class TestCouplingValidation:
         with pytest.raises(CouplingError, match="duplicate"):
             Coupling(()).validate([Quiet("a"), Quiet("a")])
 
-
-def test_run_parallel_log_matches_sequential():
-    def build():
-        pulse = Pulse("p", count=3)
-        echoes = [Echo(f"e{i}") for i in range(3)]
-        routes = tuple((("p", "out"), (e.name, "in")) for e in echoes)
-        return [pulse] + echoes, Coupling(routes)
-
-    models, coupling = build()
-    base = run_parallel(models, coupling)
-    for units in (2, 4):
-        models, coupling = build()
-        log = run_parallel(models, coupling, execution_units=units)
-        assert log == base
-

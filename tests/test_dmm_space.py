@@ -167,17 +167,17 @@ class TestLea:
 
 
 class TestEstimateCost:
-    """The load-balancing estimate of an individual is its ADM count."""
+    """`Individual.adm_count` counts the phenotype's ADMs (0 without a phenotype)."""
 
     def test_kingsley_is_thirty(self):
-        assert Individual([0], phenotype=kingsley_config(32)).sim_estimate == 30
+        assert Individual([0], phenotype=kingsley_config(32)).adm_count == 30
 
     def test_single_adm(self):
-        assert Individual([0], phenotype=DmmConfig(adms=(one_adm(),))).sim_estimate == 1
-        assert Individual([0], invalid=True).sim_estimate == 0
+        assert Individual([0], phenotype=DmmConfig(adms=(one_adm(),))).adm_count == 1
+        assert Individual([0], invalid=True).adm_count == 0
 
     def test_lea_is_eight_exact_plus_one_range(self):
-        assert Individual([0], phenotype=lea_config()).sim_estimate == 9
+        assert Individual([0], phenotype=lea_config()).adm_count == 9
 
 
 class TestDispatch:

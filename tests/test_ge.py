@@ -167,7 +167,7 @@ class TestEvaluate:
         engine.population[0] = Individual([0, 0])
         assert engine.prepare_generation() == []
         ind = engine.population[0]
-        assert ind.invalid and ind.fitness == WORST_FITNESS and ind.sim_estimate == 0
+        assert ind.invalid and ind.fitness == WORST_FITNESS and ind.adm_count == 0
 
     def test_constraint_violating_phenotype_gets_worst_fitness(self):
         # EmptyHeader with a range selector cannot be simulated
@@ -180,7 +180,7 @@ class TestEvaluate:
         assert engine.prepare_generation() == []
         ind = engine.population[0]
         assert not ind.invalid
-        assert ind.fitness == WORST_FITNESS and ind.sim_estimate == 1
+        assert ind.fitness == WORST_FITNESS and ind.adm_count == 1
 
     def test_composition_matches_direct_pipeline(self, grammar, small_ctx):
         cfg = decode(GOLDEN, grammar)
@@ -188,7 +188,7 @@ class TestEvaluate:
         expected = fitness(simulate(cfg, small_ctx.trace, small_ctx.hw), small_ctx.weights)
         assert evaluate(ind, small_ctx) == expected
         assert ind.fitness is None  # evaluate writes nothing; the engine records fitness
-        assert ind.sim_estimate == len(cfg.adms)
+        assert ind.adm_count == len(cfg.adms)
 
     def test_kingsley_equivalent_scores_one_under_default_weights(self, grammar):
         trace = synth_workload(WorkloadSpec(events=300, live_cap=15, sizes=(40, 100), seed=5))

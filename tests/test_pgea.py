@@ -19,9 +19,14 @@ HW = HwParams()
 ADM = kingsley_config().adms[0]
 
 
-def inds(estimates):
-    """Individuals whose simulation-time estimates (ADM counts) are `estimates`."""
-    return [Individual([i], phenotype=DmmConfig(adms=(ADM,) * e)) for i, e in enumerate(estimates)]
+def inds(adm_counts):
+    """Individuals [i] whose phenotypes hold `adm_counts[i]` ADMs."""
+    return [Individual([i], phenotype=DmmConfig(adms=(ADM,) * n)) for i, n in enumerate(adm_counts)]
+
+
+def in_process(ctx):
+    """Batch evaluator whose handle evaluates the batch when it is called."""
+    return lambda batch: lambda: [evaluate(ind, ctx) for ind in batch]
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +47,11 @@ def ctx(trace):
 class TestBalance:
     def test_single_worker_gets_everything(self):
         population = inds([3, 1, 2])
-        batches = balance(population, 1)
-        assert batches == [population[:1] + population[2:] + population[1:2]]
+        assert balance(population, 1) == [population]
 
-    def test_sorted_round_robin_example(self):
-        batches = balance(inds([5, 4, 3, 2, 2, 1]), 2)
-        loads = [[ind.sim_estimate for ind in batch] for batch in batches]
-        assert loads == [[5, 3, 2], [4, 2, 1]]
-        assert sum(loads[0]) == 10 and sum(loads[1]) == 7
+    def test_round_robin_ignores_adm_count(self):
+        batches = balance(inds([1, 5, 2, 4, 3, 2]), 2)
+        assert [[ind.genotype[0] for ind in batch] for batch in batches] == [[0, 2, 4], [1, 3, 5]]
 
     def test_partition_property(self):
         population = inds([7, 1, 1, 3, 9, 2, 5, 5])
@@ -77,17 +79,18 @@ class TestWorker:
         assert worker.phase == "passive" and worker.sigma == float("inf")
 
     def test_batch_fitness_matches_direct_evaluate(self, grammar, ctx):
-        worker = WorkerModel("w", lambda batch: [evaluate(ind, ctx) for ind in batch])
+        worker = WorkerModel("w", in_process(ctx))
         golden = [204, 142, 55, 201, 16, 44]
         batch = [Individual(golden, phenotype=decode(golden, grammar)),
                  Individual([7, 3], phenotype=lea_config())]
         expected = [evaluate(ind, ctx) for ind in batch]
         worker.delta_ext({"in": [batch]})
         assert worker.phase == "active" and worker.sigma == 0
-        assert worker.dmms == expected  # one float per individual, in order
-        assert all(ind.fitness is None for ind in batch)
+        assert worker.dmms == []  # started, not yet collected
         out = worker.output()
         assert out["out"] is worker.dmms
+        assert worker.dmms == expected  # one float per individual, in order
+        assert all(ind.fitness is None for ind in batch)
         worker.delta_int()
         assert worker.phase == "passive" and worker.dmms == []
 
@@ -157,8 +160,7 @@ class TestEquivalence:
 
     def test_event_sequence_with_single_worker(self, grammar, ctx):
         engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
-        evaluator = lambda batch: [evaluate(ind, ctx) for ind in batch]
-        models, coupling = build_topology(1, engine, evaluator)
+        models, coupling = build_topology(1, engine, in_process(ctx))
         log = run_parallel(models, coupling)
         kinds = [(r.model, r.kind) for r in log]
         assert kinds == [
@@ -172,8 +174,7 @@ class TestEquivalence:
 
     def test_event_log_shape_for_one_generation(self, grammar, ctx):
         engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
-        evaluator = lambda batch: [evaluate(ind, ctx) for ind in batch]
-        models, coupling = build_topology(2, engine, evaluator)
+        models, coupling = build_topology(2, engine, in_process(ctx))
         log = run_parallel(models, coupling)
         kinds = [(r.model, r.kind) for r in log]
         assert kinds == [
@@ -187,3 +188,22 @@ class TestEquivalence:
             ("worker_2", "delta_int"),
             ("master", "delta_ext"),
         ]
+
+    def test_batches_of_a_generation_overlap(self, grammar):
+        engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
+        calls = []
+
+        def start(batch):
+            k = sum(1 for call in calls if call.startswith("start")) + 1
+            calls.append(f"start b{k}")
+
+            def wait():
+                calls.append(f"wait b{k}")
+                return [1.0] * len(batch)
+
+            return wait
+
+        models, coupling = build_topology(2, engine, start)
+        run_parallel(models, coupling)
+        # both batches are in flight before either worker waits for its result
+        assert calls == ["start b1", "start b2", "wait b1", "wait b2"]

@@ -177,5 +177,21 @@ def test_workload_spec_file_round_trip():
     assert spec.events == 40 and spec.live_cap == 6 and spec.seed == 11
     ranged = parse_workload_spec("sizes = 8..200\nevents = 10\nlive_cap = 2\n")
     assert ranged.size_range == (8, 200)
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="'sizes'"):
         parse_workload_spec("events = 10\nlive_cap = 2\n")  # sizes missing
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("sizes = 8,x\nevents = 10\nlive_cap = 2\n", 1),
+        ("sizes = 8\n# odd\nevents = 11\nlive_cap = 2\n", 3),
+        ("sizes = 8,16\nweights = 1,y\nevents = 10\nlive_cap = 2\n", 2),
+        ("sizes = 8,16\nevents = 10\nlive_cap = 2\nweights = 1\n", 4),
+        ("sizes = 8\nevents = 10\nlive_cap = 2\nalloc_ratio = 1\n", 4),
+    ],
+)
+def test_workload_spec_errors_name_the_line(text, line):
+    with pytest.raises(TraceError) as info:
+        parse_workload_spec(text)
+    assert info.value.line == line
