@@ -7,18 +7,20 @@
     optimize     evolve a DMM for a trace (sequential or master-worker)
     compare      evolved DMM vs the Kingsley/Lea-style baselines
 
-Exit codes: 0 success, 1 input error, 2 heap exhaustion, 3 internal failure.
+Exit codes: 0 success, 1 input or usage error, 2 heap exhaustion (for
+`optimize`: no candidate has a finite fitness), 3 internal failure.
 Every report starts with a `#` line echoing the exact invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .dmm_space import HwParams, kingsley_config, lea_config, parse_dmm, serialize_dmm
-from .ge import LOG_HEADER, GeParams, run_sequential
+from .ge import LOG_HEADER, WORST_FITNESS, GeParams, run_sequential
 from .grammar import generate_grammar, load_default_grammar_text, parse_grammar
 from .pgea import run_parallel_ge
 from .simulator import FitnessWeights, SimMetrics, default_weights, fitness, simulate
@@ -48,26 +50,41 @@ def _invocation(argv: list[str]) -> str:
     return "# dmmopt " + " ".join(argv) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is an input error: exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _hw_from(args) -> HwParams:
+    """HwParams from the hardware flags given; its defaults for the rest."""
+    given = {k: v for k, v in vars(args).items() if k in ("memory_size", "energy_per_access")}
     try:
-        return HwParams(energy_per_access=args.energy_per_access, memory_size=args.memory_size)
+        return HwParams(**given)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _add_hw_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--memory-size", type=int, default=2**30,
+def _add_memory_size_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--memory-size", type=int, default=argparse.SUPPRESS,
                         help="target memory size in bytes (backstop heap limit)")
-    parser.add_argument("--energy-per-access", type=float, default=1e-9,
+
+
+def _add_energy_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--energy-per-access", type=float, default=argparse.SUPPRESS,
                         help="joules per memory access")
 
 
 def _parse_weights(text: str | None) -> tuple[float, float, float] | None:
     if text is None:
         return None
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3 or min(parts) < 0 or sum(parts) == 0:
-        raise CliError(f"--weights needs three non-negative values, got {text!r}")
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 3 or not all(0 <= p < math.inf for p in parts) or sum(parts) == 0:
+        raise CliError(f"--weights needs three finite non-negative values, not all 0, got {text!r}")
     total = sum(parts)
     return (parts[0] / total, parts[1] / total, parts[2] / total)
 
@@ -161,7 +178,8 @@ def cmd_optimize(args, argv) -> int:
         best, log = run_sequential(grammar, trace, hw, params, weights=weights)
     report = [_invocation(argv), LOG_HEADER + "\n"] + [row.csv() + "\n" for row in log]
     _emit(args.out, "".join(report))
-    if best is None or best.phenotype is None:
+    if best.fitness == WORST_FITNESS:
+        # every candidate failed to map, broke a design rule or exhausted its heap
         print("no valid DMM found", file=sys.stderr)
         return 2
     expression = serialize_dmm(best.phenotype)
@@ -217,8 +235,8 @@ def cmd_compare(args, argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dmmopt", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="dmmopt", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic trace from a workload spec")
@@ -234,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-grammar", help="generate a trace-customized grammar")
     p.add_argument("--trace", required=True)
-    _add_hw_flags(p)
+    _add_memory_size_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gen_grammar)
 
     p = sub.add_parser("simulate", help="replay a trace through one DMM")
     p.add_argument("--dmm", required=True, help="DMM expression file")
     p.add_argument("--trace", required=True)
-    _add_hw_flags(p)
+    _add_energy_flag(p)
     p.add_argument("--weights", default=None, help="w_time,w_mem,w_energy")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
@@ -259,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=float, default=0.80)
     p.add_argument("--pm", type=float, default=0.02)
     p.add_argument("--weights", default=None)
-    _add_hw_flags(p)
+    _add_energy_flag(p)
     p.add_argument("--out", default=None, help="per-generation CSV log")
     p.add_argument("--best-out", default=None, help="write the best DMM expression here")
     p.set_defaults(fn=cmd_optimize)
@@ -268,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--evolved", required=True, help="DMM expression file")
     p.add_argument("--weights", default=None)
-    _add_hw_flags(p)
+    _add_memory_size_flag(p)
+    _add_energy_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
 

@@ -12,6 +12,10 @@ when it prepares a generation, and scores the invalid ones there; only
 legal configurations reach the simulator. :func:`evaluate` returns a
 fitness and changes nothing; the engine is the only writer of an
 individual's fitness, whether it was computed inline or on a worker.
+The engine writes each individual's fitness once and never changes a
+scored individual again, so elites and the best-so-far are shared, not
+copied. `Individual.invalid` is derived, not stored: the individual
+was scored but has no phenotype.
 
 Selection is tournament, variation is single-point crossover with
 independent cut points plus per-codon mutation, and the best
@@ -40,21 +44,17 @@ Genotype = list[int]
 class Individual:
     genotype: Genotype
     phenotype: DmmConfig | None = None
-    invalid: bool = False
     fitness: float | None = None
+
+    @property
+    def invalid(self) -> bool:
+        """Scored without a phenotype: the genotype did not map."""
+        return self.fitness is not None and self.phenotype is None
 
     @property
     def adm_count(self) -> int:
         """ADMs in the phenotype (0 without one); the log's `best_adm_count`."""
         return len(self.phenotype.adms) if self.phenotype is not None else 0
-
-    def copy(self) -> "Individual":
-        return Individual(
-            genotype=list(self.genotype),
-            phenotype=self.phenotype,
-            invalid=self.invalid,
-            fitness=self.fitness,
-        )
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,10 @@ class GeaEngine:
     returns the indices that still need a simulation. Callers compute
     those fitnesses with :func:`evaluate` however they like (inline or
     on workers) and hand back ``(index, fitness)`` pairs, which
-    :meth:`apply_results` records. A cache keyed by genotype skips
-    re-evaluation of unchanged individuals; fitness is a pure function
-    of the genotype, so cached values are exact.
+    :meth:`apply_results` records. A cache keyed by genotype holds
+    ``(fitness, phenotype)`` and skips re-evaluation of unchanged
+    individuals; fitness is a pure function of the genotype, so cached
+    values are exact.
     """
 
     def __init__(self, grammar: Grammar, params: GeParams):
@@ -210,7 +211,7 @@ class GeaEngine:
         self.population = [self._random_individual() for _ in range(params.population_size)]
         self.log: list[GenerationRow] = []
         self.best: Individual | None = None
-        self._cache: dict[tuple[int, ...], tuple[float, DmmConfig | None, bool]] = {}
+        self._cache: dict[tuple[int, ...], tuple[float, DmmConfig | None]] = {}
 
     def _random_individual(self) -> Individual:
         length = self.rng.randint(self.params.init_len_min, self.params.init_len_max)
@@ -225,11 +226,10 @@ class GeaEngine:
             key = tuple(ind.genotype)
             hit = self._cache.get(key)
             if hit is not None:
-                ind.fitness, ind.phenotype, ind.invalid = hit
+                ind.fitness, ind.phenotype = hit
                 continue
             ind.phenotype = decode(ind.genotype, self.grammar, self.params.max_wraps)
-            ind.invalid = ind.phenotype is None
-            if ind.invalid or validate(ind.phenotype):
+            if ind.phenotype is None or validate(ind.phenotype):
                 ind.fitness = WORST_FITNESS
                 self._remember(ind)
             else:
@@ -237,7 +237,7 @@ class GeaEngine:
         return pending
 
     def _remember(self, ind: Individual) -> None:
-        self._cache[tuple(ind.genotype)] = (ind.fitness, ind.phenotype, ind.invalid)
+        self._cache[tuple(ind.genotype)] = (ind.fitness, ind.phenotype)
 
     def apply_results(self, results: list[tuple[int, float]]) -> None:
         """Record the fitness computed for each pending index."""
@@ -260,7 +260,7 @@ class GeaEngine:
         )
         self.log.append(row)
         if self.best is None or pop[best_i].fitness < self.best.fitness:
-            self.best = pop[best_i].copy()
+            self.best = pop[best_i]
         return row
 
     def _tournament(self) -> Individual:
@@ -274,7 +274,7 @@ class GeaEngine:
         pop = self.population
         order = sorted(range(len(pop)), key=lambda i: (pop[i].fitness, i))
         # elites keep their population order so full elitism is the identity
-        elites = [pop[i].copy() for i in sorted(order[: params.elitism_count])]
+        elites = [pop[i] for i in sorted(order[: params.elitism_count])]
         needed = params.population_size - len(elites)
         children: list[Individual] = []
         while len(children) < needed:

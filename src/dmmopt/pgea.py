@@ -1,12 +1,12 @@
 """Parallel grammatical evolution as a DEVS master-worker model.
 
 The master owns the population and all stochastic operators; workers
-only evaluate. Per generation the master deals the candidates
-round-robin into one batch per worker, then waits until all batches
-return before stepping the population. Selection noise is consumed
-exclusively on the master and evaluation is deterministic, so the
-search trajectory is identical to the sequential loop for any worker
-count.
+only evaluate. Per generation the master deals the population indices
+of the candidates round-robin, keeps the indices each worker owes, and
+sends each worker at most one batch; it steps the population once every
+batch has returned. Selection noise is consumed exclusively on the
+master and evaluation is deterministic, so the search trajectory is
+identical to the sequential loop for any worker count.
 
 The process pool of :func:`run_parallel_ge` is the only source of
 concurrency; the DEVS kernel runs every transition inline. A worker
@@ -20,7 +20,9 @@ prepares a generation. Individuals that fail to map (or map to a
 constraint-violating configuration) are scored there and never
 dispatched; workers only simulate. A worker replies with one fitness
 per individual it received, in order, and the master's engine is the
-only writer of fitness.
+only writer of fitness. It writes each fitness once and never changes
+a scored individual again; whether an individual is invalid is derived
+from it (scored without a phenotype).
 """
 
 from __future__ import annotations
@@ -67,46 +69,31 @@ class MasterModel(devs.AtomicModel):
         self.workers = workers
         self.output_ports = tuple(f"oW_{j}" for j in range(1, workers + 1))
         self.input_ports = tuple(f"iW_{j}" for j in range(1, workers + 1))
-        self._outbox: dict[str, list[Individual]] = {}
-        # population indices of the batch each input port still owes
-        self._sent_indices: dict[str, list[int]] = {}
+        # worker number -> population indices of the batch it still owes
+        self._owed: dict[int, list[int]] = {}
         self._prepare_dispatch()
         self.activate()
 
     def _prepare_dispatch(self) -> None:
-        pending = self.engine.prepare_generation()
-        pairs = [(i, self.engine.population[i]) for i in pending]
-        self._outbox.clear()
-        self._sent_indices.clear()
-        batches = balance(pairs, self.workers)
-        for j, batch in enumerate(batches, start=1):
-            if batch:
-                self._sent_indices[f"iW_{j}"] = [i for i, _ in batch]
-                self._outbox[f"oW_{j}"] = [ind for _, ind in batch]
+        batches = balance(self.engine.prepare_generation(), self.workers)
+        self._owed = {j: batch for j, batch in enumerate(batches, start=1) if batch}
 
     def output(self) -> dict[str, Any]:
-        if self.phase != devs.ACTIVE:
-            return {}
-        return dict(self._outbox)
+        pop = self.engine.population
+        return {f"oW_{j}": [pop[i] for i in batch] for j, batch in self._owed.items()}
 
     def delta_int(self) -> None:
-        self._outbox.clear()
-        if self._sent_indices:
+        if self._owed:
             self.passivate()
         else:
             # nothing was dispatched (all cached or invalid): advance locally
             self._generation_done()
 
     def delta_ext(self, inputs: dict[str, list[Any]]) -> None:
-        for port, messages in inputs.items():
-            indices = self._sent_indices.pop(port, None)
-            if indices is None:
-                continue
-            merged: list[float] = []
-            for batch in messages:
-                merged.extend(batch)
-            self.engine.apply_results(list(zip(indices, merged)))
-        if not self._sent_indices:
+        for port, (fitnesses,) in inputs.items():
+            indices = self._owed.pop(int(port.removeprefix("iW_")))
+            self.engine.apply_results(list(zip(indices, fitnesses)))
+        if not self._owed:
             self._generation_done()
 
     def _generation_done(self) -> None:
@@ -116,7 +103,7 @@ class MasterModel(devs.AtomicModel):
                 self.passivate()
                 return
             self._prepare_dispatch()
-            if self._outbox:
+            if self._owed:
                 self.activate()
                 return
             # the whole new generation was resolved from the cache
@@ -131,18 +118,16 @@ class WorkerModel(devs.AtomicModel):
     def __init__(self, name: str, evaluate_batch: BatchEvaluator):
         super().__init__(name)
         self.evaluate_batch = evaluate_batch
-        self._started: list[BatchHandle] = []
-        # fitnesses of the batches just collected, in the order received
+        self._started: BatchHandle | None = None
+        # fitnesses of the batch just collected, in the order received
         self.dmms: list[float] = []
 
     def output(self) -> dict[str, Any]:
-        if self.phase != devs.ACTIVE:
-            return {}
-        self.dmms = [fit for wait in self._started for fit in wait()]
+        self.dmms = self._started()
         return {"out": self.dmms}
 
     def delta_int(self) -> None:
-        self._started = []
+        self._started = None
         self.dmms = []
         self.passivate()
 
@@ -150,7 +135,8 @@ class WorkerModel(devs.AtomicModel):
         messages = inputs.get("in")
         if not messages:
             return
-        self._started = [self.evaluate_batch(batch) for batch in messages]
+        (batch,) = messages
+        self._started = self.evaluate_batch(batch)
         self.activate()
 
 
@@ -166,10 +152,8 @@ def build_topology(
     for j, worker in enumerate(worker_models, start=1):
         routes.append((("master", f"oW_{j}"), (worker.name, "in")))
         routes.append(((worker.name, "out"), ("master", f"iW_{j}")))
-    coupling = devs.Coupling(tuple(routes))
     models: list[devs.AtomicModel] = [master] + worker_models
-    coupling.validate(models)
-    return models, coupling
+    return models, devs.Coupling(tuple(routes))
 
 
 _POOL_CTX: EvalContext | None = None

@@ -40,6 +40,16 @@ return a block to the OS              1         1
 The SLL first-fit fast path therefore costs exactly (5, 7) for a
 head hit and (6, 9) when the hit empties the list, and a probe of an
 empty list costs (3, 2).
+
+Dispatch: each ADM has a request range ``[lo, hi]`` and a freed-payload
+range ``[free_lo, hi]``, ``[0, k]`` and ``[k, k]`` for ``One(k)``. An
+allocation goes to the first ADM whose request range holds its size; a
+``One`` ADM with no free block grants a fresh block of its own, a range
+ADM with no fitting block passes the request on, and the OS backstop
+serves what no ADM does. A freed block goes to the first ADM whose
+freed-payload range holds its payload, else back to the OS.
+:func:`simulate` stops at the first allocation the backstop cannot
+serve within its heap limit and flags the metrics so far `exhausted`.
 """
 
 from __future__ import annotations
@@ -113,13 +123,14 @@ class AdmRuntime:
     """
 
     def __init__(self, adm: AdmConfig, index: int, sim: "HeapSim"):
-        self.config = adm
         self.index = index
         self.sim = sim
-        self.is_one = isinstance(adm.block_sizes, One)
-        self.one_size = adm.block_sizes.size if self.is_one else 0
-        self.lo = 0 if self.is_one else adm.block_sizes.lo
-        self.hi = self.one_size if self.is_one else adm.block_sizes.hi
+        sizes = adm.block_sizes
+        self.is_one = isinstance(sizes, One)
+        # the dispatch ranges of the module docstring
+        self.hi = sizes.size if self.is_one else sizes.hi
+        self.lo = 0 if self.is_one else sizes.lo
+        self.free_lo = self.hi if self.is_one else self.lo
         self.header = adm.block_tags.header_bytes
         self.exact = adm.allocation_policy is AllocationPolicy.EXACT_FIT
         self.best = adm.allocation_policy is AllocationPolicy.BEST_FIT
@@ -133,12 +144,6 @@ class AdmRuntime:
         self.buckets: dict[int, list[Block]] = {}
         self.blocks: list[Block] = []
 
-    def covers_request(self, size: int) -> bool:
-        return size <= self.one_size if self.is_one else self.lo <= size <= self.hi
-
-    def accepts_freed(self, payload: int) -> bool:
-        return payload == self.one_size if self.is_one else self.lo <= payload <= self.hi
-
     def free_blocks(self) -> list[Block]:
         if self.exact:
             return [b for bucket in self.buckets.values() for b in bucket]
@@ -150,14 +155,13 @@ class AdmRuntime:
         sim.ex_time += COST_ENTRY[0]
         sim.mem_acc += COST_ENTRY[1]
         if self.exact:
-            key = self.one_size if self.is_one else payload
-            bucket = self.buckets.get(key)
+            bucket = self.buckets.get(payload)
             if not bucket:
                 sim.ex_time += COST_MISS[0]
                 return None
             block = bucket.pop()
             if not bucket:
-                del self.buckets[key]
+                del self.buckets[payload]
                 sim.ex_time += COST_EMPTIED[0]
                 sim.mem_acc += COST_EMPTIED[1]
         else:
@@ -215,10 +219,6 @@ class AdmRuntime:
             self.blocks.remove(block)
 
 
-class HeapExhausted(RuntimeError):
-    """Raised by :meth:`HeapSim.apply` when the backstop runs out."""
-
-
 class HeapSim:
     """Replayable heap state for one DMM; see module docstring for costs."""
 
@@ -226,7 +226,6 @@ class HeapSim:
         problems = validate(dmm)
         if problems:
             raise ValueError(f"invalid DMM configuration: {problems[0]}")
-        self.dmm = dmm
         self.hw = hw
         self.adms = [AdmRuntime(adm, i, self) for i, adm in enumerate(dmm.adms)]
         self.heap_limit = dmm.backstop.heap_limit
@@ -278,14 +277,14 @@ class HeapSim:
             rest = self._coalesce(adm, rest)
         adm.put(rest)
 
-    def alloc(self, object_id: int, size: int) -> bool:
-        """Serve an allocation; False when the heap is exhausted."""
+    def alloc(self, object_id: int, size: int) -> None:
+        """Serve an allocation; sets `exhausted` when the backstop cannot."""
         for adm in self.adms:
             self.ex_time += COST_SELECT[0]
             self.mem_acc += COST_SELECT[1]
-            if not adm.covers_request(size):
+            if not adm.lo <= size <= adm.hi:
                 continue
-            payload = adm.one_size if adm.is_one else self._align(size)
+            payload = adm.hi if adm.is_one else self._align(size)
             block = adm.take(payload)
             if block is not None:
                 if (
@@ -293,21 +292,17 @@ class HeapSim:
                     and block.payload - payload - adm.header >= adm.min_result
                 ):
                     self._split(adm, block, payload)
-                block.state = LIVE
                 self.live[object_id] = (block, size)
-                return True
+                return
             if adm.is_one:
-                block = self._grant(adm.one_size, adm.header, adm.index)
-                if block is None:
-                    return False
-                self.live[object_id] = (block, size)
-                return True
+                block = self._grant(payload, adm.header, adm.index)
+                if block is not None:
+                    self.live[object_id] = (block, size)
+                return
             # a range manager with no fitting free block falls through
         block = self._grant(self._align(size), BACKSTOP_HEADER_BYTES, None)
-        if block is None:
-            return False
-        self.live[object_id] = (block, size)
-        return True
+        if block is not None:
+            self.live[object_id] = (block, size)
 
     def free(self, object_id: int) -> None:
         self.ex_time += COST_LIVE_LOOKUP[0]
@@ -316,7 +311,7 @@ class HeapSim:
         for adm in self.adms:
             self.ex_time += COST_SELECT[0]
             self.mem_acc += COST_SELECT[1]
-            if adm.accepts_freed(block.payload):
+            if adm.free_lo <= block.payload <= adm.hi:
                 if adm.coalesces:
                     block = self._coalesce(adm, block)
                 adm.put(block)
@@ -369,10 +364,7 @@ class HeapSim:
 
     def apply(self, event: TraceEvent) -> None:
         if event.kind is EventKind.ALLOC:
-            if not self.alloc(event.object_id, event.size):
-                raise HeapExhausted(
-                    f"backstop of {self.heap_limit} B exhausted at object {event.object_id}"
-                )
+            self.alloc(event.object_id, event.size)
         else:
             self.free(event.object_id)
 
@@ -396,12 +388,12 @@ class SimMetrics:
 
 
 def simulate(dmm: DmmConfig, trace: Trace, hw: HwParams) -> SimMetrics:
-    """Replay the whole trace; on exhaustion, report metrics so far flagged."""
+    """Replay the trace up to the first allocation the backstop cannot
+    serve; the metrics of a replay stopped there are flagged `exhausted`."""
     sim = HeapSim(dmm, hw)
     for event in trace.events:
-        try:
-            sim.apply(event)
-        except HeapExhausted:
+        sim.apply(event)
+        if sim.exhausted:
             break
     return sim.metrics()
 

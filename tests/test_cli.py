@@ -175,13 +175,12 @@ def test_bad_trace_is_exit_code_1(tmp_path, capsys):
 
 
 def test_exhausted_fitness_baseline_is_exit_code_1(tmp_path, capsys):
-    # the 1 GiB object overflows the baseline's default heap, not --memory-size
+    # the 1 GiB object overflows the baseline's default heap, whatever the DMM's own limit
     trace = tmp_path / "big.txt"
     trace.write_text(f"1 A {2**30} 0\n1 F 0 0\n")
     dmm = tmp_path / "k.txt"
     dmm.write_text(serialize_dmm(kingsley_config(heap_limit=2**33)))
-    code = main(["simulate", "--dmm", str(dmm), "--trace", str(trace),
-                 "--memory-size", str(2**33)])
+    code = main(["simulate", "--dmm", str(dmm), "--trace", str(trace)])
     assert code == 1
     captured = capsys.readouterr()
     assert "kingsley" in captured.err and str(2**30) in captured.err
@@ -193,3 +192,65 @@ def test_exhaustion_is_exit_code_2(workdir, capsys):
     dmm.write_text(serialize_dmm(kingsley_config(heap_limit=64)))
     code = main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt")])
     assert code == 2
+
+
+def test_optimize_without_a_finite_fitness_reports_no_dmm(tmp_path, capsys):
+    spec = tmp_path / "w.cfg"
+    spec.write_text("sizes = 1000,2000\nevents = 100\nlive_cap = 10\nseed = 5\n")
+    trace, grammar, best = tmp_path / "t.txt", tmp_path / "g.bnf", tmp_path / "best.dmm"
+    assert main(["synth", "--spec", str(spec), "--out", str(trace)]) == 0
+    # every candidate's backstop holds 100 bytes, so each one exhausts its heap
+    assert main(["gen-grammar", "--trace", str(trace), "--memory-size", "100",
+                 "--out", str(grammar)]) == 0
+    capsys.readouterr()
+    code = main(["optimize", "--trace", str(trace), "--grammar", str(grammar),
+                 "--generations", "2", "--pop", "10", "--best-out", str(best)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "no valid DMM found" in captured.err
+    assert "AtomicDMM" not in captured.out
+    assert not best.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats"],
+        ["simulate", "--dmm", "k.txt", "--trace", "t.txt", "--memory-size", "100"],
+        ["optimize", "--trace", "t.txt", "--memory-size", "100"],
+        ["gen-grammar", "--trace", "t.txt", "--energy-per-access", "1e-9"],
+    ],
+    ids=["missing-trace", "simulate-memory-size", "optimize-memory-size",
+         "gen-grammar-energy-per-access"],
+)
+def test_usage_errors_are_exit_code_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_is_exit_code_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--help"])
+    assert exit_.value.code == 0
+    assert "--energy-per-access" in capsys.readouterr().out
+
+
+def test_simulate_weights_select_one_objective(workdir, capsys):
+    dmm = workdir / "k.txt"
+    dmm.write_text(serialize_dmm(kingsley_config()))
+    assert main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt"),
+                 "--weights", "1,0,0"]) == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    assert float(fields[4]) == 1.0  # kingsley's time over its own time
+
+
+@pytest.mark.parametrize("weights", ["a,b,c", "1,2", "-1,1,1", "0,0,0", "nan,1,1"])
+def test_bad_weights_are_exit_code_1_and_name_the_flag(workdir, capsys, weights):
+    dmm = workdir / "k.txt"
+    dmm.write_text(serialize_dmm(kingsley_config()))
+    code = main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt"),
+                 f"--weights={weights}"])
+    assert code == 1
+    assert "--weights" in capsys.readouterr().err

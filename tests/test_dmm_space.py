@@ -19,7 +19,7 @@ from dmmopt.dmm_space import (
     serialize_dmm,
     validate,
 )
-from dmmopt.ge import Individual
+from dmmopt.ge import WORST_FITNESS, Individual
 from dmmopt.simulator import HeapSim
 
 from conftest import random_small_dmm
@@ -174,7 +174,7 @@ class TestEstimateCost:
 
     def test_single_adm(self):
         assert Individual([0], phenotype=DmmConfig(adms=(one_adm(),))).adm_count == 1
-        assert Individual([0], invalid=True).adm_count == 0
+        assert Individual([0], fitness=WORST_FITNESS).adm_count == 0
 
     def test_lea_is_eight_exact_plus_one_range(self):
         assert Individual([0], phenotype=lea_config()).adm_count == 9

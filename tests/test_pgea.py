@@ -11,7 +11,7 @@ from dmmopt.ge import (
     make_context,
     run_sequential,
 )
-from dmmopt.grammar import load_default_grammar
+from dmmopt.grammar import load_default_grammar, parse_grammar
 from dmmopt.pgea import MasterModel, WorkerModel, balance, build_topology, run_parallel_ge
 from dmmopt.trace import WorkloadSpec, synth_workload
 
@@ -157,6 +157,16 @@ class TestEquivalence:
         best_two, log_two, _ = run_parallel_ge(grammar, trace, HW, params, workers=2, execution_units=2)
         assert best_two.genotype == best_one.genotype
         assert [r.csv() for r in log_two] == [r.csv() for r in log_one]
+
+    def test_generation_that_dispatches_nothing_advances_on_the_master(self, trace):
+        # no genotype maps, so every individual is scored on the master
+        never_maps = parse_grammar("<S> ::= <S>\n")
+        params = GeParams(population_size=10, generations=3, rng_seed=2)
+        _, log_seq = run_sequential(never_maps, trace, HW, params)
+        _, log_par, events = run_parallel_ge(never_maps, trace, HW, params, workers=2)
+        assert [r.csv() for r in log_par] == [r.csv() for r in log_seq]
+        assert all(r.invalid_count == 10 for r in log_par)
+        assert [(r.model, r.kind) for r in events] == [("master", "lambda"), ("master", "delta_int")]
 
     def test_event_sequence_with_single_worker(self, grammar, ctx):
         engine = GeaEngine(grammar, GeParams(population_size=8, generations=0, rng_seed=1))
