@@ -25,7 +25,6 @@ from .grammar import generate_grammar, load_default_grammar_text, parse_grammar
 from .pgea import run_parallel_ge
 from .simulator import FitnessWeights, SimMetrics, default_weights, fitness, simulate
 from .trace import parse_trace, parse_workload_spec, serialize_trace, synth_workload, trace_stats
-from . import devs
 
 
 class CliError(ValueError):
@@ -73,7 +72,7 @@ def _add_memory_size_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_energy_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--energy-per-access", type=float, default=argparse.SUPPRESS,
-                        help="joules per memory access")
+                        help="joules per memory access; prices the energy column, never the fitness")
 
 
 def _parse_weights(text: str | None) -> tuple[float, float, float] | None:
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=float, default=0.80)
     p.add_argument("--pm", type=float, default=0.02)
     p.add_argument("--weights", default=None)
-    _add_energy_flag(p)
     p.add_argument("--out", default=None, help="per-generation CSV log")
     p.add_argument("--best-out", default=None, help="write the best DMM expression here")
     p.set_defaults(fn=cmd_optimize)
@@ -300,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, argv)
-    except (CliError, ValueError, devs.CouplingError) as exc:
+    except ValueError as exc:  # CliError and every input error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant failure

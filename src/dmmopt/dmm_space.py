@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 DEFAULT_HEAP_LIMIT = 2**30
-DEFAULT_GRANULARITY = 8
+CHUNK_GRANULARITY = 8  # the OS and range managers align payloads to this many bytes
 # Defaults used for parameterless selector tokens in template grammars.
 BARE_SIZE_DEFAULT = 8
 BARE_RANGE_DEFAULT = (8, 128 * 1024)
@@ -94,7 +94,6 @@ class AdmConfig:
 @dataclass(frozen=True)
 class OsBackstop:
     heap_limit: int = DEFAULT_HEAP_LIMIT
-    chunk_granularity: int = DEFAULT_GRANULARITY
 
 
 @dataclass(frozen=True)
@@ -141,19 +140,17 @@ def validate(dmm: DmmConfig) -> list[str]:
             violations.append(f"{tag}: coalescing needs max_result_size >= 1")
         if mn is not None and mx is not None and mn > mx:
             violations.append(f"{tag}: min_result_size {mn} exceeds max_result_size {mx}")
-    if dmm.backstop.heap_limit < 1 or dmm.backstop.chunk_granularity < 1:
-        violations.append("backstop limits must be >= 1 byte")
+    if dmm.backstop.heap_limit < 1:
+        violations.append("backstop heap limit must be >= 1 byte")
     return violations
 
 
-def kingsley_config(max_pow: int = 32, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
-    """Segregated power-of-two free lists: One(2^k) for k = 3..max_pow.
+def kingsley_config(*, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
+    """Segregated power-of-two free lists: One(2^k) for k = 3..32.
 
     Requests round up to the next power of two by first-match dispatch
     over the ascending size classes; no splitting or coalescing.
     """
-    if max_pow < 3:
-        raise ValueError("max_pow must be >= 3")
     adms = tuple(
         AdmConfig(
             data_structure=DataStructureKind.SINGLY_LINKED,
@@ -161,7 +158,7 @@ def kingsley_config(max_pow: int = 32, heap_limit: int = DEFAULT_HEAP_LIMIT) -> 
             block_tags=BlockTags.HEADER_SIZE,
             allocation_policy=AllocationPolicy.FIRST_FIT,
         )
-        for k in range(3, max_pow + 1)
+        for k in range(3, 33)
     )
     return DmmConfig(adms=adms, backstop=OsBackstop(heap_limit=heap_limit))
 
@@ -217,16 +214,21 @@ class DmmTextError(ValueError):
     """Unparseable DMM expression text."""
 
 
-def _selector_token(sizes: BlockSizes) -> str:
+def selector_token(sizes: BlockSizes | None) -> str:
+    """Text of a selector; None is TrueSelector, as in the parser."""
+    if sizes is None:
+        return "TrueSelector"
     if isinstance(sizes, One):
         return f"SizeSelector({sizes.size})"
     return f"RangeSelector({sizes.lo}, {sizes.hi})"
 
 
-def _migration_token(adm: AdmConfig) -> str:
-    mn, mx = adm.min_result_size, adm.max_result_size
+def migration_token(sizes: BlockSizes | None, mn: int | None = None, mx: int | None = None) -> str:
+    """Text of the migration slot: the min (`mn`) and max (`mx`) result
+    sizes, or the selector of `sizes` when the manager neither splits
+    nor coalesces."""
     if mn is None and mx is None:
-        return _selector_token(adm.block_sizes)
+        return selector_token(sizes)
     if mx is None:
         return f"SplitOnly({mn})"
     if mn is None:
@@ -240,13 +242,11 @@ def serialize_dmm(dmm: DmmConfig) -> str:
     def render(i: int, depth: int) -> str:
         pad = "  " * (depth + 1)
         if i == len(dmm.adms):
-            bs = dmm.backstop
-            if bs.chunk_granularity != DEFAULT_GRANULARITY:
-                return f"OperatingSystem({bs.heap_limit}, {bs.chunk_granularity})"
-            return f"OperatingSystem({bs.heap_limit})"
+            return f"OperatingSystem({dmm.backstop.heap_limit})"
         adm = dmm.adms[i]
         ds = f"{_DS_TOKENS[(adm.allocation_policy, adm.data_structure)]}({_TAG_TOKENS[adm.block_tags]})"
-        parts = [ds, _selector_token(adm.block_sizes), _migration_token(adm), render(i + 1, depth + 1)]
+        migration = migration_token(adm.block_sizes, adm.min_result_size, adm.max_result_size)
+        parts = [ds, selector_token(adm.block_sizes), migration, render(i + 1, depth + 1)]
         inner = (",\n" + pad).join(parts)
         return f"AtomicDMM(\n{pad}{inner})"
 
@@ -323,10 +323,8 @@ class _Parser:
     def expression(self) -> tuple[list[dict], OsBackstop]:
         tok = self.take()
         if tok == "OperatingSystem":
-            args = self.int_args(0, 2)
-            heap_limit = args[0] if args else DEFAULT_HEAP_LIMIT
-            granularity = args[1] if len(args) > 1 else DEFAULT_GRANULARITY
-            return [], OsBackstop(heap_limit=heap_limit, chunk_granularity=granularity)
+            args = self.int_args(0, 1)
+            return [], OsBackstop(heap_limit=args[0] if args else DEFAULT_HEAP_LIMIT)
         if tok != "AtomicDMM":
             raise DmmTextError(f"expected AtomicDMM or OperatingSystem, got {tok!r}")
         self.take("(")

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .dmm_space import HwParams
+from .dmm_space import HwParams, One, SizeRange, migration_token, selector_token
 from .trace import TraceStats
 
 _NONTERMINAL_RE = re.compile(r"<[A-Za-z_][A-Za-z0-9_]*>")
@@ -40,9 +40,6 @@ Alternative = tuple[Symbol, ...]
 class Grammar:
     start: str
     productions: dict[str, tuple[Alternative, ...]]
-
-    def group(self, nonterminal: str) -> tuple[Alternative, ...]:
-        return self.productions[nonterminal]
 
 
 def _split_alternative(text: str) -> Alternative:
@@ -100,16 +97,20 @@ def load_default_grammar() -> Grammar:
     return parse_grammar(load_default_grammar_text())
 
 
+MAX_POINT_SELECTORS = 12  # more distinct sizes than this: use their power-of-two covers
+GAP_FACTOR = 2.0
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length()
 
 
-def size_bands(sizes: tuple[int, ...], gap_factor: float = 2.0) -> list[tuple[int, int]]:
-    """Cluster sorted sizes into bands; a gap above `gap_factor`x starts a new band."""
+def size_bands(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Cluster sorted sizes into bands; a gap above GAP_FACTOR x starts a new band."""
     bands: list[tuple[int, int]] = []
     lo = hi = sizes[0]
     for size in sizes[1:]:
-        if size <= hi * gap_factor:
+        if size <= hi * GAP_FACTOR:
             hi = size
         else:
             bands.append((lo, hi))
@@ -118,45 +119,38 @@ def size_bands(sizes: tuple[int, ...], gap_factor: float = 2.0) -> list[tuple[in
     return bands
 
 
-def generate_grammar(stats: TraceStats, hw: HwParams, max_point_selectors: int = 12) -> str:
-    """Emit the template grammar customized to a trace and target memory.
+def generate_grammar(stats: TraceStats, hw: HwParams) -> str:
+    """Emit every rule of the template grammar (`data/default.bnf`), with
+    ``<Selector>`` and ``<Migration>`` filled in from a trace and the heap
+    limit of ``OperatingSystem`` from the target memory size.
 
-    Size selectors are instantiated per observed size band (a point
-    selector for single-size bands, a range selector otherwise) plus the
-    covering powers of two; the heap limit comes from the hardware
-    memory size.
-    """
+    The selectors are one per observed size band (a point selector for a
+    single-size band, a range selector otherwise), the covering powers of
+    two, the whole size range and TrueSelector; migration adds one
+    split-and-coalesce alternative to them."""
     if not stats.distinct_sizes:
         raise GrammarError("cannot generate a grammar from an empty trace")
     sizes = stats.distinct_sizes
-    if len(sizes) > max_point_selectors:
+    if len(sizes) > MAX_POINT_SELECTORS:
         sizes = tuple(sorted({_next_pow2(s) for s in sizes}))
-    selectors: list[str] = []
-    for lo, hi in size_bands(sizes):
-        if lo == hi:
-            selectors.append(f"SizeSelector({lo})")
-        else:
-            selectors.append(f"RangeSelector({lo}, {hi})")
-    for cover in sorted({_next_pow2(s) for s in sizes}):
-        token = f"SizeSelector({cover})"
-        if token not in selectors:
-            selectors.append(token)
-    selectors.append(f"RangeSelector({stats.min_size}, {stats.max_size})")
-    selectors.append("TrueSelector")
+    served = [One(lo) if lo == hi else SizeRange(lo, hi) for lo, hi in size_bands(sizes)]
+    served += [One(c) for c in sorted({_next_pow2(s) for s in sizes}) if One(c) not in served]
+    served += [SizeRange(stats.min_size, stats.max_size), None]  # None: TrueSelector
+    selectors = [selector_token(s) for s in served]
+    flexible = migration_token(None, min(stats.min_size, 8), stats.max_size)
+    filled = {"<Selector>": selectors, "<Migration>": selectors + [flexible]}
+    backstop = f"OperatingSystem({hw.memory_size})"
 
-    flexible = f"SplitAndCoalesce({min(stats.min_size, 8)}, {stats.max_size})"
     lines = [
         "# Grammar generated from trace statistics; see dmmopt gen-grammar.",
         f"# distinct sizes: {len(stats.distinct_sizes)}, "
         f"range [{stats.min_size}, {stats.max_size}], "
         f"max live {stats.max_live_bytes} B",
-        "<CustomDMM> ::= AtomicDMM(<DataStructure>, <Selector>, <Migration>, <NextADM>)",
-        "<DataStructure> ::= FirstFitSLL(<Header>) | <AltDataStructure>",
-        "<AltDataStructure> ::= BestFitSLL(<Header>) | FirstFitDLL(<Header>) | "
-        "BestFitDLL(<Header>) | ExactFitSLL(<Header>)",
-        "<Header> ::= EmptyHeader | SizeHeader | SizeStatusHeader",
-        f"<Selector> ::= {' | '.join(selectors)}",
-        f"<Migration> ::= {' | '.join(selectors)} | {flexible}",
-        f"<NextADM> ::= OperatingSystem({hw.memory_size}) | <CustomDMM>",
     ]
+    for line in load_default_grammar_text().splitlines():
+        if not line.startswith("<"):
+            continue  # a comment or a blank line
+        head, body = line.split(" ::= ", 1)
+        body = " | ".join(filled[head]) if head in filled else body.replace("OperatingSystem", backstop)
+        lines.append(f"{head} ::= {body}")
     return "".join(line + "\n" for line in lines)

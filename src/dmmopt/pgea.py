@@ -63,8 +63,8 @@ def balance(individuals: Sequence[Any], workers: int) -> list[list[Any]]:
 class MasterModel(devs.AtomicModel):
     """Runs the evolutionary loop; dispatches evaluation batches."""
 
-    def __init__(self, engine: GeaEngine, workers: int, name: str = "master"):
-        super().__init__(name)
+    def __init__(self, engine: GeaEngine, workers: int):
+        super().__init__("master")
         self.engine = engine
         self.workers = workers
         self.output_ports = tuple(f"oW_{j}" for j in range(1, workers + 1))

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from .dmm_space import (
     BACKSTOP_HEADER_BYTES,
-    DEFAULT_HEAP_LIMIT,
+    CHUNK_GRANULARITY,
     AdmConfig,
     AllocationPolicy,
     DataStructureKind,
@@ -229,7 +229,7 @@ class HeapSim:
         self.hw = hw
         self.adms = [AdmRuntime(adm, i, self) for i, adm in enumerate(dmm.adms)]
         self.heap_limit = dmm.backstop.heap_limit
-        self.granularity = dmm.backstop.chunk_granularity
+        self.granularity = CHUNK_GRANULARITY
         self.frontier = 0
         self.ex_time = 0
         self.mem_acc = 0
@@ -363,6 +363,10 @@ class HeapSim:
         return block
 
     def apply(self, event: TraceEvent) -> None:
+        # the allocation that exhausted the heap left the replay behind the trace
+        if self.exhausted:
+            raise RuntimeError(f"heap exhausted at its limit of {self.heap_limit} bytes; "
+                               "no event can be replayed after that")
         if event.kind is EventKind.ALLOC:
             self.alloc(event.object_id, event.size)
         else:
@@ -436,21 +440,25 @@ def default_weights(
 ) -> FitnessWeights:
     """Equal weights normalized by the power-of-two segregated-fit baseline.
 
-    The baseline runs at the default heap limit. If it exhausts that heap
-    its metrics are partial, so this raises ValueError instead of
-    normalizing by them.
+    The baseline runs with a heap limit of `hw.memory_size`, the same
+    Kingsley that `compare` prints. If it exhausts that heap its metrics
+    are partial, so this raises ValueError instead of normalizing by them.
     """
-    baseline = simulate(kingsley_config(), trace, hw)
+    baseline = simulate(kingsley_config(heap_limit=hw.memory_size), trace, hw)
     if baseline.exhausted:
         raise ValueError(
-            f"fitness baseline kingsley exhausted its heap limit of {DEFAULT_HEAP_LIMIT} bytes; "
+            f"fitness baseline kingsley exhausted its heap limit of {hw.memory_size} bytes; "
             "no fitness can be normalized by a partial replay"
         )
     return FitnessWeights.from_baseline(baseline, weights)
 
 
 def fitness(metrics: SimMetrics, weights: FitnessWeights) -> float:
-    """Weighted normalized sum of the three metrics; lower is better."""
+    """Weighted normalized sum of the three metrics; lower is better.
+
+    Energy and its normalizer (the baseline's energy) are both priced by
+    `energy_per_access`, which cancels: it changes a fitness by rounding
+    at most."""
     if metrics.exhausted:
         return math.inf
     return (

@@ -76,7 +76,7 @@ def test_criterion_1_decoding_golden():
 
 def test_criterion_2_kingsley_structure():
     with criterion(2, "power-of-two baseline matches its published structure"):
-        dmm = kingsley_config(32)
+        dmm = kingsley_config()
         assert len(dmm.adms) == 30
         for k, adm in zip(range(3, 33), dmm.adms):
             assert adm.block_sizes == One(2**k)

@@ -111,15 +111,16 @@ def test_compare_leaves_deltas_of_exhausted_managers_empty(workdir, capsys):
     assert rows["evolved"][5] == "inf" and rows["evolved"][6:] == [""] * 6
     assert "" not in rows["kingsley"][9:] and "" not in rows["lea"][6:9]
 
-    # baselines starved at --memory-size: every delta against them is empty too
+    # the fitness normalizer is the Kingsley row, built at --memory-size: when it
+    # starves there, no fitness can be normalized and compare reports nothing
     roomy = workdir / "roomy.txt"
     roomy.write_text(serialize_dmm(kingsley_config()))
+    out.unlink()
     assert main(["compare", "--trace", str(workdir / "t.txt"), "--evolved", str(roomy),
-                 "--memory-size", "100", "--out", str(out)]) == 2
-    assert "kingsley, lea" in capsys.readouterr().err
-    for line in lines_of(out)[2:]:
-        fields = line.split(",")
-        assert len(fields) == 12 and fields[6:] == [""] * 6
+                 "--memory-size", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kingsley" in err and "heap limit of 100 bytes" in err
+    assert not out.exists()
 
 
 def test_compare_kingsley_against_itself_has_zero_deltas(workdir):
@@ -219,9 +220,10 @@ def test_optimize_without_a_finite_fitness_reports_no_dmm(tmp_path, capsys):
         ["simulate", "--dmm", "k.txt", "--trace", "t.txt", "--memory-size", "100"],
         ["optimize", "--trace", "t.txt", "--memory-size", "100"],
         ["gen-grammar", "--trace", "t.txt", "--energy-per-access", "1e-9"],
+        ["optimize", "--trace", "t.txt", "--energy-per-access", "1e-9"],
     ],
     ids=["missing-trace", "simulate-memory-size", "optimize-memory-size",
-         "gen-grammar-energy-per-access"],
+         "gen-grammar-energy-per-access", "optimize-energy-per-access"],
 )
 def test_usage_errors_are_exit_code_1(argv, capsys):
     with pytest.raises(SystemExit) as exit_:

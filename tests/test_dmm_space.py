@@ -73,14 +73,13 @@ RULE_CASES = [
         range_adm(block_tags=STATUS, min_result_size=65, max_result_size=64),
         "min_result_size 65 exceeds max_result_size 64",
     ),
-    ("heap-limit-below-1", OsBackstop(heap_limit=0), "backstop limits"),
-    ("granularity-below-1", OsBackstop(chunk_granularity=0), "backstop limits"),
+    ("heap-limit-below-1", OsBackstop(heap_limit=0), "backstop heap limit must be >= 1 byte"),
 ]
 
 
 class TestValidate:
     def test_kingsley_is_legal(self):
-        assert validate(kingsley_config(32)) == []
+        assert validate(kingsley_config()) == []
         assert validate(lea_config()) == []
 
     def test_one_size_cannot_be_split_or_coalesced(self):
@@ -125,7 +124,7 @@ class TestValidate:
 
 class TestKingsley:
     def test_thirty_adms_with_power_of_two_sizes(self):
-        dmm = kingsley_config(32)
+        dmm = kingsley_config()
         assert len(dmm.adms) == 30
         for k, adm in zip(range(3, 33), dmm.adms):
             assert adm.block_sizes == One(2**k)
@@ -135,18 +134,13 @@ class TestKingsley:
             assert adm.min_result_size is None and adm.max_result_size is None
 
     def test_first_adm_serves_eight_bytes(self):
-        assert kingsley_config(32).adms[0].block_sizes == One(8)
+        assert kingsley_config().adms[0].block_sizes == One(8)
 
     def test_requests_round_up_to_next_power_of_two(self):
-        dmm = kingsley_config(32)
+        dmm = kingsley_config()
         assert served_by(dmm, 33).block_sizes == One(64)
         assert served_by(dmm, 8).block_sizes == One(8)
         assert served_by(dmm, 9).block_sizes == One(16)
-
-    def test_max_pow_is_parameterized(self):
-        assert len(kingsley_config(8).adms) == 6
-        with pytest.raises(ValueError):
-            kingsley_config(2)
 
 
 class TestLea:
@@ -170,7 +164,7 @@ class TestEstimateCost:
     """`Individual.adm_count` counts the phenotype's ADMs (0 without a phenotype)."""
 
     def test_kingsley_is_thirty(self):
-        assert Individual([0], phenotype=kingsley_config(32)).adm_count == 30
+        assert Individual([0], phenotype=kingsley_config()).adm_count == 30
 
     def test_single_adm(self):
         assert Individual([0], phenotype=DmmConfig(adms=(one_adm(),))).adm_count == 1
@@ -201,13 +195,13 @@ class TestHwParams:
 
 class TestTextForm:
     def test_round_trip_baselines(self):
-        for dmm in (kingsley_config(16), lea_config()):
+        for dmm in (kingsley_config(), lea_config()):
             assert parse_dmm(serialize_dmm(dmm)) == dmm
 
     def test_round_trip_split_only_and_coalesce_only(self):
         split = range_adm(min_result_size=16)
         coalesce = range_adm(block_tags=STATUS, max_result_size=512)
-        backstop = OsBackstop(heap_limit=4096, chunk_granularity=16)
+        backstop = OsBackstop(heap_limit=4096)
         dmm = DmmConfig(adms=(split, coalesce), backstop=backstop)
         text = serialize_dmm(dmm)
         assert "SplitOnly(16)" in text and "CoalesceOnly(512)" in text
@@ -245,3 +239,5 @@ class TestTextForm:
             parse_dmm("NotADMM()")
         with pytest.raises(DmmTextError):
             parse_dmm("AtomicDMM(WorstFitSLL(SizeHeader), SizeSelector, SizeSelector, OperatingSystem)")
+        with pytest.raises(DmmTextError):
+            parse_dmm("OperatingSystem(4096, 16)")

@@ -22,7 +22,7 @@ def stats_for(sizes: tuple[int, ...]) -> TraceStats:
 class TestParseGrammar:
     def test_alternative_indices_follow_source_order(self):
         g = parse_grammar("<H> ::= EmptyHeader | SizeHeader\n")
-        alts = g.group("<H>")
+        alts = g.productions["<H>"]
         assert len(alts) == 2
         assert alts[0][0].text == "EmptyHeader"
         assert alts[1][0].text == "SizeHeader"
@@ -45,30 +45,30 @@ class TestParseGrammar:
 
     def test_terminal_text_between_nonterminals_is_preserved(self):
         g = parse_grammar("<S> ::= f(<A>, <A>)\n<A> ::= x\n")
-        symbols = [s.text for s in g.group("<S>")[0]]
+        symbols = [s.text for s in g.productions["<S>"][0]]
         assert symbols == ["f(", "<A>", ", ", "<A>", ")"]
 
     def test_indices_stable_under_whitespace_and_comments(self):
         a = parse_grammar("<S> ::= alpha | beta | gamma\n")
         b = parse_grammar("# comment\n<S>   ::=   alpha |    beta | gamma   \n\n")
-        assert a.group("<S>") == b.group("<S>")
+        assert a.productions["<S>"] == b.productions["<S>"]
 
 
 class TestDefaultGrammar:
     def test_structure_matches_the_decoding_contract(self):
         g = load_default_grammar()
         assert g.start == "<CustomDMM>"
-        assert len(g.group("<CustomDMM>")) == 1
-        assert len(g.group("<DataStructure>")) == 2
-        assert len(g.group("<Header>")) == 3
-        assert len(g.group("<Selector>")) == 3
-        assert len(g.group("<Migration>")) == 4
-        assert len(g.group("<NextADM>")) == 2
+        assert len(g.productions["<CustomDMM>"]) == 1
+        assert len(g.productions["<DataStructure>"]) == 2
+        assert len(g.productions["<Header>"]) == 3
+        assert len(g.productions["<Selector>"]) == 3
+        assert len(g.productions["<Migration>"]) == 4
+        assert len(g.productions["<NextADM>"]) == 2
 
     def test_all_five_data_structures_are_reachable(self):
         g = load_default_grammar()
         tokens = set()
-        for alt in g.group("<DataStructure>") + g.group("<AltDataStructure>"):
+        for alt in g.productions["<DataStructure>"] + g.productions["<AltDataStructure>"]:
             first = alt[0]
             if not first.is_nonterminal:
                 tokens.add(first.text.rstrip("("))
@@ -92,7 +92,7 @@ class TestGenerateGrammar:
     def test_single_size_gets_point_selector_and_catch_all(self):
         text = generate_grammar(stats_for((32,)), HW)
         g = parse_grammar(text)
-        selectors = ["".join(s.text for s in alt) for alt in g.group("<Selector>")]
+        selectors = ["".join(s.text for s in alt) for alt in g.productions["<Selector>"]]
         assert "SizeSelector(32)" in selectors
         assert "TrueSelector" in selectors
 
@@ -100,7 +100,7 @@ class TestGenerateGrammar:
         sizes = (32, 756, 800, 1024, 8192, 151552)
         text = generate_grammar(stats_for(sizes), HW)
         g = parse_grammar(text)
-        selectors = ["".join(s.text for s in alt) for alt in g.group("<Selector>")]
+        selectors = ["".join(s.text for s in alt) for alt in g.productions["<Selector>"]]
         assert "SizeSelector(32)" in selectors
         assert "RangeSelector(756, 1024)" in selectors
         assert "SizeSelector(8192)" in selectors
@@ -114,7 +114,7 @@ class TestGenerateGrammar:
         sizes = tuple(range(8, 8 + 8 * 40, 8))  # 40 distinct sizes
         text = generate_grammar(stats_for(sizes), HW)
         g = parse_grammar(text)
-        assert len(g.group("<Selector>")) <= 16
+        assert len(g.productions["<Selector>"]) <= 16
 
     def test_generated_grammar_parses_and_derives_a_dmm(self):
         trace = synth_workload(WorkloadSpec(events=400, live_cap=12, sizes=(32, 8192), seed=3))
@@ -124,6 +124,17 @@ class TestGenerateGrammar:
         cfg = decode([0] * 8, g, max_wraps=2)
         assert cfg is not None
         assert cfg.backstop.heap_limit == HW.memory_size
+
+    def test_every_rule_but_the_filled_ones_comes_from_the_template(self):
+        template = load_default_grammar().productions
+        g = parse_grammar(generate_grammar(stats_for((32, 756, 800, 8192)), HW)).productions
+        assert list(g) == list(template)
+        filled = ("<Selector>", "<Migration>", "<NextADM>")
+        assert {k: v for k, v in g.items() if k not in filled} == {
+            k: v for k, v in template.items() if k not in filled
+        }
+        next_adm = [[s.text for s in alt] for alt in g["<NextADM>"]]
+        assert next_adm == [[f"OperatingSystem({HW.memory_size})"], ["<CustomDMM>"]]
 
     def test_empty_stats_rejected(self):
         with pytest.raises(GrammarError):

@@ -13,6 +13,7 @@ from dmmopt.dmm_space import (
     One,
     OsBackstop,
     SizeRange,
+    kingsley_config,
 )
 from dmmopt.simulator import (
     FREE,
@@ -167,6 +168,15 @@ class TestSimulate:
         assert m.exhausted
         assert fitness(m, FitnessWeights()) == math.inf
 
+    def test_apply_refuses_events_after_exhaustion(self):
+        # the failed allocation left no live entry, so its free cannot be replayed
+        sim = HeapSim(kingsley_config(heap_limit=64), HW)
+        alloc, free = parse_trace("1 A 100 0\n1 F 0 0\n").events
+        sim.apply(alloc)
+        assert sim.exhausted
+        with pytest.raises(RuntimeError, match="heap exhausted at its limit of 64 bytes"):
+            sim.apply(free)
+
     def test_simulate_rejects_invalid_configs(self):
         bad = sll_first_fit(sizes=One(8), min_result_size=8, max_result_size=64)
         with pytest.raises(ValueError):
@@ -273,8 +283,6 @@ class TestFitness:
             FitnessWeights(w_time=-0.1, w_mem=0.6, w_energy=0.5)
 
     def test_default_weights_normalize_by_kingsley(self):
-        from dmmopt.dmm_space import kingsley_config
-
         trace = synth_workload(WorkloadSpec(events=200, live_cap=10, sizes=(40,), seed=1))
         w = default_weights(trace, HW)
         m = simulate(kingsley_config(), trace, HW)
