@@ -15,6 +15,7 @@ Every report starts with a `#` line echoing the exact invocation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .dmm_space import HwParams, kingsley_config, lea_config, parse_dmm, seriali
 from .ge import LOG_HEADER, WORST_FITNESS, GeParams, run_sequential
 from .grammar import generate_grammar, load_default_grammar_text, parse_grammar
 from .pgea import run_parallel_ge
-from .simulator import FitnessWeights, SimMetrics, default_weights, fitness, simulate
+from .simulator import EQUAL_WEIGHTS, FitnessWeights, SimMetrics, default_weights, fitness, simulate
 from .trace import parse_trace, parse_workload_spec, serialize_trace, synth_workload, trace_stats
 
 
@@ -56,13 +57,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _hw_from(args) -> HwParams:
-    """HwParams from the hardware flags given; its defaults for the rest."""
-    given = {k: v for k, v in vars(args).items() if k in ("memory_size", "energy_per_access")}
-    try:
-        return HwParams(**given)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _from_flags(cls, args):
+    """`cls` from the flags given for its fields; its own defaults for the rest."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _add_memory_size_flag(parser: argparse.ArgumentParser) -> None:
@@ -75,9 +73,9 @@ def _add_energy_flag(parser: argparse.ArgumentParser) -> None:
                         help="joules per memory access; prices the energy column, never the fitness")
 
 
-def _parse_weights(text: str | None) -> tuple[float, float, float] | None:
+def _parse_weights(text: str | None) -> tuple[float, float, float]:
     if text is None:
-        return None
+        return EQUAL_WEIGHTS
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
@@ -86,11 +84,6 @@ def _parse_weights(text: str | None) -> tuple[float, float, float] | None:
         raise CliError(f"--weights needs three finite non-negative values, not all 0, got {text!r}")
     total = sum(parts)
     return (parts[0] / total, parts[1] / total, parts[2] / total)
-
-
-def _weights_for(args, trace, hw) -> FitnessWeights:
-    raw = _parse_weights(getattr(args, "weights", None))
-    return default_weights(trace, hw, raw) if raw else default_weights(trace, hw)
 
 
 def _metrics_csv(metrics: SimMetrics, fit: float) -> str:
@@ -121,7 +114,7 @@ def cmd_stats(args, argv) -> int:
 
 def cmd_gen_grammar(args, argv) -> int:
     stats = trace_stats(parse_trace(_read(args.trace)))
-    text = _invocation(argv) + generate_grammar(stats, _hw_from(args))
+    text = _invocation(argv) + generate_grammar(stats, _from_flags(HwParams, args))
     parse_grammar(text)  # self-check before handing it to the user
     _emit(args.out, text)
     return 0
@@ -130,8 +123,8 @@ def cmd_gen_grammar(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     trace = parse_trace(_read(args.trace))
     dmm = parse_dmm(_read(args.dmm))
-    hw = _hw_from(args)
-    weights = _weights_for(args, trace, hw)
+    hw = _from_flags(HwParams, args)
+    weights = default_weights(trace, hw, _parse_weights(args.weights))
     metrics = simulate(dmm, trace, hw)
     fit = fitness(metrics, weights)
     lines = [
@@ -146,16 +139,6 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-def _ge_params(args) -> GeParams:
-    return GeParams(
-        population_size=args.pop,
-        generations=args.generations,
-        p_crossover=args.pc,
-        p_mutation=args.pm,
-        rng_seed=args.seed,
-    )
-
-
 def cmd_optimize(args, argv) -> int:
     if args.workers < 0:
         raise CliError(f"--workers must be >= 0, got {args.workers}")
@@ -163,11 +146,11 @@ def cmd_optimize(args, argv) -> int:
         raise CliError(f"--units must be >= 1, got {args.units}")
     if args.units != 1 and args.workers == 0:
         raise CliError("--units needs --workers >= 1; the sequential loop runs in one process")
+    params = _from_flags(GeParams, args)
     trace = parse_trace(_read(args.trace))
     grammar = parse_grammar(_read(args.grammar) if args.grammar else load_default_grammar_text())
-    hw = _hw_from(args)
-    weights = _weights_for(args, trace, hw)
-    params = _ge_params(args)
+    hw = _from_flags(HwParams, args)
+    weights = default_weights(trace, hw, _parse_weights(args.weights))
     if args.workers > 0:
         best, log, _ = run_parallel_ge(
             grammar, trace, hw, params,
@@ -191,14 +174,16 @@ def cmd_optimize(args, argv) -> int:
 
 def cmd_compare(args, argv) -> int:
     trace = parse_trace(_read(args.trace))
-    hw = _hw_from(args)
-    weights = _weights_for(args, trace, hw)
+    hw = _from_flags(HwParams, args)
+    given_weights = _parse_weights(args.weights)
     rows = [
         ("kingsley", kingsley_config(heap_limit=hw.memory_size)),
         ("lea", lea_config(heap_limit=hw.memory_size)),
         ("evolved", parse_dmm(_read(args.evolved))),
     ]
     results = {name: simulate(dmm, trace, hw) for name, dmm in rows}
+    # the Kingsley row is the fitness baseline, as in default_weights
+    weights = FitnessWeights.from_baseline(results["kingsley"], hw.memory_size, given_weights)
 
     def deltas(row: SimMetrics, base: SimMetrics) -> str:
         # a partial replay is no result: leave its comparisons empty
@@ -270,11 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master-worker width; 0 runs the plain sequential loop")
     p.add_argument("--units", type=int, default=1,
                    help="evaluation processes; more than 1 needs --workers >= 1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--pop", type=int, default=60)
-    p.add_argument("--pc", type=float, default=0.80)
-    p.add_argument("--pm", type=float, default=0.02)
+    # the search flags are GeParams fields; an absent flag keeps its default
+    p.add_argument("--seed", dest="rng_seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--generations", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--pop", dest="population_size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--pc", dest="p_crossover", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--pm", dest="p_mutation", type=float, default=argparse.SUPPRESS)
     p.add_argument("--weights", default=None)
     p.add_argument("--out", default=None, help="per-generation CSV log")
     p.add_argument("--best-out", default=None, help="write the best DMM expression here")

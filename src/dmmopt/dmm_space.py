@@ -163,7 +163,7 @@ def kingsley_config(*, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
     return DmmConfig(adms=adms, backstop=OsBackstop(heap_limit=heap_limit))
 
 
-def lea_config(heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
+def lea_config(*, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
     """Size-class exact fit for small blocks, coalescing best fit for medium.
 
     One exact-fit list per multiple of 8 up to 64 bytes, then a

@@ -4,7 +4,7 @@ A genotype is a variable-length sequence of 8-bit codons. Decoding
 performs a leftmost derivation from the grammar's start symbol: every
 nonterminal expansion consumes one codon and picks the alternative
 ``codon mod group_size``. When the genome runs out the read head wraps
-to the first codon, at most `max_wraps` times; an individual still
+to the first codon, at most `MAX_WRAPS` times; an individual still
 holding nonterminals after the wrap budget is invalid and receives the
 worst possible fitness. Unread trailing codons never affect the
 phenotype. The engine decodes and validates each new genotype once,
@@ -17,11 +17,12 @@ scored individual again, so elites and the best-so-far are shared, not
 copied. `Individual.invalid` is derived, not stored: the individual
 was scored but has no phenotype.
 
-Selection is tournament, variation is single-point crossover with
-independent cut points plus per-codon mutation, and the best
-`elitism_count` individuals survive unchanged. All randomness flows
-from one seeded generator so runs are reproducible; fitness evaluation
-never touches it.
+Selection is a tournament of `TOURNAMENT_SIZE`, variation is
+single-point crossover with independent cut points plus per-codon
+mutation, and the best `ELITISM_COUNT` individuals survive unchanged.
+Initial genomes hold `INIT_LEN_MIN`..`INIT_LEN_MAX` codons. All
+randomness flows from one seeded generator so runs are reproducible;
+fitness evaluation never touches it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ import random
 from dataclasses import dataclass
 
 from .dmm_space import DmmConfig, DmmTextError, HwParams, parse_dmm, validate
-from .grammar import Grammar
+from .grammar import Grammar, Symbol
 from .simulator import FitnessWeights, default_weights, fitness, simulate
 from .trace import Trace
 
 WORST_FITNESS = math.inf
+MAX_WRAPS = 3
+TOURNAMENT_SIZE = 3
+ELITISM_COUNT = 1
+INIT_LEN_MIN, INIT_LEN_MAX = 20, 60  # codons in an initial genome
 
 Genotype = list[int]
 
@@ -63,22 +68,15 @@ class GeParams:
     generations: int = 100
     p_crossover: float = 0.80
     p_mutation: float = 0.02
-    max_wraps: int = 3
-    tournament_size: int = 3
-    elitism_count: int = 1
     rng_seed: int = 0
-    init_len_min: int = 20
-    init_len_max: int = 60
 
     def __post_init__(self):
         if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 2")
-        if not 1 <= self.init_len_min <= self.init_len_max:
-            raise ValueError("bad initial genome length range")
-        if self.tournament_size < 1 or self.elitism_count < 0:
-            raise ValueError("bad selection parameters")
+        if self.generations < 0:
+            raise ValueError(f"generations must be >= 0, got {self.generations}")
 
 
 @dataclass(frozen=True)
@@ -92,37 +90,36 @@ class Derivation:
     wraps_used: int
 
 
-def derive(genotype: Genotype, grammar: Grammar, max_wraps: int = 3) -> Derivation:
+def derive(genotype: Genotype, grammar: Grammar, max_wraps: int = MAX_WRAPS) -> Derivation:
     """Leftmost derivation with modulus rule and bounded wrapping."""
     if not genotype:
         raise ValueError("genotype must hold at least one codon")
     limit = len(genotype) * (max_wraps + 1)
     # stack holds pending symbols, top = leftmost
-    stack: list[tuple[str, str]] = [("NT", grammar.start)]
+    stack: list[Symbol] = [Symbol(grammar.start, True)]
     out: list[str] = []
     indices: list[int] = []
     reads = 0
     while stack:
-        kind, text = stack.pop()
-        if kind == "T":
-            out.append(text)
+        sym = stack.pop()
+        if not sym.is_nonterminal:
+            out.append(sym.text)
             continue
         if reads >= limit:
-            stack.append((kind, text))
-            partial = "".join(out) + "".join(sym for _, sym in reversed(stack))
+            stack.append(sym)
+            partial = "".join(out) + "".join(s.text for s in reversed(stack))
             return Derivation(False, partial, tuple(indices), reads, max_wraps)
         codon = genotype[reads % len(genotype)]
         reads += 1
-        group = grammar.productions[text]
+        group = grammar.productions[sym.text]
         choice = codon % len(group)
         indices.append(choice)
-        for sym in reversed(group[choice]):
-            stack.append(("NT" if sym.is_nonterminal else "T", sym.text))
+        stack.extend(reversed(group[choice]))
     wraps = (reads - 1) // len(genotype) if reads else 0
     return Derivation(True, "".join(out), tuple(indices), reads, wraps)
 
 
-def decode(genotype: Genotype, grammar: Grammar, max_wraps: int = 3) -> DmmConfig | None:
+def decode(genotype: Genotype, grammar: Grammar, max_wraps: int = MAX_WRAPS) -> DmmConfig | None:
     """Map a genotype to a configuration; None marks an invalid individual."""
     result = derive(genotype, grammar, max_wraps)
     if not result.completed:
@@ -170,6 +167,10 @@ def evaluate(ind: Individual, ctx: EvalContext) -> float:
     return fitness(simulate(ind.phenotype, ctx.trace, ctx.hw), ctx.weights)
 
 
+LOG_COLUMNS = ("generation", "best_fitness", "mean_fitness", "best_adm_count", "invalid_count")
+LOG_HEADER = ",".join(LOG_COLUMNS)
+
+
 @dataclass
 class GenerationRow:
     generation: int
@@ -180,13 +181,7 @@ class GenerationRow:
     best_genotype: tuple[int, ...] = ()  # not part of the CSV form
 
     def csv(self) -> str:
-        return (
-            f"{self.generation},{self.best_fitness!r},{self.mean_fitness!r},"
-            f"{self.best_adm_count},{self.invalid_count}"
-        )
-
-
-LOG_HEADER = "generation,best_fitness,mean_fitness,best_adm_count,invalid_count"
+        return ",".join(repr(getattr(self, column)) for column in LOG_COLUMNS)
 
 
 class GeaEngine:
@@ -214,7 +209,7 @@ class GeaEngine:
         self._cache: dict[tuple[int, ...], tuple[float, DmmConfig | None]] = {}
 
     def _random_individual(self) -> Individual:
-        length = self.rng.randint(self.params.init_len_min, self.params.init_len_max)
+        length = self.rng.randint(INIT_LEN_MIN, INIT_LEN_MAX)
         return Individual([self.rng.randrange(256) for _ in range(length)])
 
     def prepare_generation(self) -> list[int]:
@@ -228,7 +223,7 @@ class GeaEngine:
             if hit is not None:
                 ind.fitness, ind.phenotype = hit
                 continue
-            ind.phenotype = decode(ind.genotype, self.grammar, self.params.max_wraps)
+            ind.phenotype = decode(ind.genotype, self.grammar)
             if ind.phenotype is None or validate(ind.phenotype):
                 ind.fitness = WORST_FITNESS
                 self._remember(ind)
@@ -265,7 +260,7 @@ class GeaEngine:
 
     def _tournament(self) -> Individual:
         pop = self.population
-        draws = [self.rng.randrange(len(pop)) for _ in range(self.params.tournament_size)]
+        draws = [self.rng.randrange(len(pop)) for _ in range(TOURNAMENT_SIZE)]
         return pop[min(draws, key=lambda i: (pop[i].fitness, i))]
 
     def step(self) -> None:
@@ -273,8 +268,7 @@ class GeaEngine:
         params = self.params
         pop = self.population
         order = sorted(range(len(pop)), key=lambda i: (pop[i].fitness, i))
-        # elites keep their population order so full elitism is the identity
-        elites = [pop[i] for i in sorted(order[: params.elitism_count])]
+        elites = [pop[i] for i in order[:ELITISM_COUNT]]
         needed = params.population_size - len(elites)
         children: list[Individual] = []
         while len(children) < needed:

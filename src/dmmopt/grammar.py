@@ -55,9 +55,7 @@ def _split_alternative(text: str) -> Alternative:
     return tuple(symbols)
 
 
-def parse_grammar(text: str | bytes) -> Grammar:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def parse_grammar(text: str) -> Grammar:
     productions: dict[str, tuple[Alternative, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -402,29 +402,49 @@ def simulate(dmm: DmmConfig, trace: Trace, hw: HwParams) -> SimMetrics:
     return sim.metrics()
 
 
+EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)  # (time, memory, energy)
+
+
 @dataclass(frozen=True)
 class FitnessWeights:
     """Objective weights plus the per-metric normalizers (a baseline's metrics)."""
 
-    w_time: float = 1 / 3
-    w_mem: float = 1 / 3
-    w_energy: float = 1 / 3
+    w_time: float = EQUAL_WEIGHTS[0]
+    w_mem: float = EQUAL_WEIGHTS[1]
+    w_energy: float = EQUAL_WEIGHTS[2]
     norm_time: float = 1.0
     norm_mem: float = 1.0
     norm_energy: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_time, self.w_mem, self.w_energy) < 0:
-            raise ValueError("weights must be non-negative")
+        for name in ("w_time", "w_mem", "w_energy"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if abs(self.w_time + self.w_mem + self.w_energy - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        if min(self.norm_time, self.norm_mem, self.norm_energy) <= 0:
-            raise ValueError("normalizers must be positive")
+        for name in ("norm_time", "norm_mem", "norm_energy"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @classmethod
     def from_baseline(
-        cls, baseline: SimMetrics, weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+        cls,
+        baseline: SimMetrics,
+        heap_limit: int,
+        weights: tuple[float, float, float] = EQUAL_WEIGHTS,
     ) -> "FitnessWeights":
+        """Weights normalized by the Kingsley `baseline`, replayed at `heap_limit`.
+
+        A baseline that exhausted its heap has partial metrics, so this
+        raises ValueError instead of normalizing by them.
+        """
+        if baseline.exhausted:
+            raise ValueError(
+                f"fitness baseline kingsley exhausted its heap limit of {heap_limit} bytes; "
+                "no fitness can be normalized by a partial replay"
+            )
         return cls(
             w_time=weights[0],
             w_mem=weights[1],
@@ -436,21 +456,15 @@ class FitnessWeights:
 
 
 def default_weights(
-    trace: Trace, hw: HwParams, weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    trace: Trace, hw: HwParams, weights: tuple[float, float, float] = EQUAL_WEIGHTS
 ) -> FitnessWeights:
-    """Equal weights normalized by the power-of-two segregated-fit baseline.
+    """Weights normalized by the power-of-two segregated-fit baseline.
 
     The baseline runs with a heap limit of `hw.memory_size`, the same
-    Kingsley that `compare` prints. If it exhausts that heap its metrics
-    are partial, so this raises ValueError instead of normalizing by them.
+    Kingsley that `compare` prints; see `FitnessWeights.from_baseline`.
     """
     baseline = simulate(kingsley_config(heap_limit=hw.memory_size), trace, hw)
-    if baseline.exhausted:
-        raise ValueError(
-            f"fitness baseline kingsley exhausted its heap limit of {hw.memory_size} bytes; "
-            "no fitness can be normalized by a partial replay"
-        )
-    return FitnessWeights.from_baseline(baseline, weights)
+    return FitnessWeights.from_baseline(baseline, hw.memory_size, weights)
 
 
 def fitness(metrics: SimMetrics, weights: FitnessWeights) -> float:

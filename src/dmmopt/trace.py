@@ -113,10 +113,8 @@ def trace_stats(trace: Trace) -> TraceStats:
     return trace.stats
 
 
-def parse_trace(text: str | bytes) -> Trace:
+def parse_trace(text: str) -> Trace:
     """Parse trace text, reporting the 1-based line number on any error."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     events: list[TraceEvent] = []
     live: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dmmopt.cli import main
-from dmmopt.dmm_space import kingsley_config, serialize_dmm
+from dmmopt.dmm_space import kingsley_config, lea_config, serialize_dmm
 from dmmopt.trace import parse_trace
 
 WORKLOAD = """
@@ -88,8 +88,9 @@ def test_optimize_parallel_matches_sequential(workdir):
         (["--units", "4"], "--units needs --workers >= 1"),
         (["--workers", "2", "--units", "0"], "--units must be >= 1"),
         (["--workers", "-1"], "--workers must be >= 0"),
+        (["--generations", "-3"], "generations must be >= 0"),
     ],
-    ids=["units-without-workers", "units-below-1", "workers-below-0"],
+    ids=["units-without-workers", "units-below-1", "workers-below-0", "generations-below-0"],
 )
 def test_optimize_rejects_flags_without_effect(workdir, capsys, flags, message):
     code = main(["optimize", "--trace", str(workdir / "t.txt"), "--generations", "0",
@@ -121,6 +122,26 @@ def test_compare_leaves_deltas_of_exhausted_managers_empty(workdir, capsys):
     err = capsys.readouterr().err
     assert "kingsley" in err and "heap limit of 100 bytes" in err
     assert not out.exists()
+
+
+def test_compare_replays_each_manager_once(workdir, monkeypatch):
+    import dmmopt.cli
+    import dmmopt.simulator
+
+    calls = []
+    real = dmmopt.simulator.simulate
+
+    def counting(dmm, trace, hw):
+        calls.append(len(dmm.adms))
+        return real(dmm, trace, hw)
+
+    monkeypatch.setattr(dmmopt.simulator, "simulate", counting)
+    monkeypatch.setattr(dmmopt.cli, "simulate", counting)
+    evolved = workdir / "lea.txt"
+    evolved.write_text(serialize_dmm(lea_config()))
+    assert main(["compare", "--trace", str(workdir / "t.txt"), "--evolved", str(evolved),
+                 "--out", str(workdir / "cmp.csv")]) == 0
+    assert calls == [30, 9, 9]  # kingsley, which is also the fitness baseline, lea, evolved
 
 
 def test_compare_kingsley_against_itself_has_zero_deltas(workdir):

@@ -144,6 +144,10 @@ class TestKingsley:
 
 
 class TestLea:
+    def test_heap_limit_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            lea_config(64)
+
     def test_small_requests_hit_exact_fit_lists(self):
         adm = served_by(lea_config(), 24)
         assert adm.block_sizes == One(24)

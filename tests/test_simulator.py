@@ -282,6 +282,14 @@ class TestFitness:
         with pytest.raises(ValueError):
             FitnessWeights(w_time=-0.1, w_mem=0.6, w_energy=0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["w_time", "w_mem", "w_energy", "norm_time", "norm_mem", "norm_energy"]
+    )
+    def test_non_finite_values_are_rejected_by_name(self, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                FitnessWeights(**{"w_time": 0.5, "w_mem": 0.25, "w_energy": 0.25, field: value})
+
     def test_default_weights_normalize_by_kingsley(self):
         trace = synth_workload(WorkloadSpec(events=200, live_cap=10, sizes=(40,), seed=1))
         w = default_weights(trace, HW)
