@@ -15,11 +15,12 @@ cannot be split, coalescing needs status headers, ...) are enforced by
 Configurations are immutable values. The text form is the nested
 ``AtomicDMM(DataStructure(Header), Selector, Migration, Next)``
 expression produced by :func:`serialize_dmm` and read back by
-:func:`parse_dmm`.
+:func:`parse_dmm`; the enum values below are its tokens.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -41,9 +42,9 @@ class DataStructureKind(Enum):
 class BlockTags(Enum):
     """Extra per-block fields and what they record."""
 
-    NONE = "None"
-    HEADER_SIZE = "HeaderSize"
-    HEADER_SIZE_STATUS = "HeaderSizeStatus"
+    NONE = "EmptyHeader"
+    HEADER_SIZE = "SizeHeader"
+    HEADER_SIZE_STATUS = "SizeStatusHeader"
 
     @property
     def header_bytes(self) -> int:
@@ -102,8 +103,10 @@ class HwParams:
     memory_size: int = DEFAULT_HEAP_LIMIT
 
     def __post_init__(self):
-        if self.energy_per_access <= 0 or self.memory_size <= 0:
-            raise ValueError("hardware parameters must be strictly positive")
+        for name in ("energy_per_access", "memory_size"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -192,22 +195,10 @@ def lea_config(*, heap_limit: int = DEFAULT_HEAP_LIMIT) -> DmmConfig:
 
 # --- nested-expression text form ------------------------------------------
 
-_DS_TOKENS = {
-    (AllocationPolicy.FIRST_FIT, DataStructureKind.SINGLY_LINKED): "FirstFitSLL",
-    (AllocationPolicy.BEST_FIT, DataStructureKind.SINGLY_LINKED): "BestFitSLL",
-    (AllocationPolicy.EXACT_FIT, DataStructureKind.SINGLY_LINKED): "ExactFitSLL",
-    (AllocationPolicy.FIRST_FIT, DataStructureKind.DOUBLY_LINKED): "FirstFitDLL",
-    (AllocationPolicy.BEST_FIT, DataStructureKind.DOUBLY_LINKED): "BestFitDLL",
-    (AllocationPolicy.EXACT_FIT, DataStructureKind.DOUBLY_LINKED): "ExactFitDLL",
-}
-_DS_FROM_TOKEN = {v: k for k, v in _DS_TOKENS.items()}
-
-_TAG_TOKENS = {
-    BlockTags.NONE: "EmptyHeader",
-    BlockTags.HEADER_SIZE: "SizeHeader",
-    BlockTags.HEADER_SIZE_STATUS: "SizeStatusHeader",
-}
-_TAG_FROM_TOKEN = {v: k for k, v in _TAG_TOKENS.items()}
+# The enum values are the tokens: a data structure is written as policy
+# then structure (``FirstFit`` + ``SLL``), a header as its BlockTags value.
+_DATA_STRUCTURES = {p.value + s.value: (p, s) for p in AllocationPolicy for s in DataStructureKind}
+_HEADERS = {tags.value: tags for tags in BlockTags}
 
 
 class DmmTextError(ValueError):
@@ -236,37 +227,36 @@ def migration_token(sizes: BlockSizes | None, mn: int | None = None, mx: int | N
     return f"SplitAndCoalesce({mn}, {mx})"
 
 
+def backstop_token(heap_limit: int) -> str:
+    """Text of the OS backstop that ends every chain."""
+    return f"OperatingSystem({heap_limit})"
+
+
 def serialize_dmm(dmm: DmmConfig) -> str:
     """Human-readable nested expression; inverse of :func:`parse_dmm`."""
+    parts = []
+    for depth, adm in enumerate(dmm.adms, start=1):
+        pad = "  " * depth
+        slots = (
+            f"{adm.allocation_policy.value}{adm.data_structure.value}({adm.block_tags.value})",
+            selector_token(adm.block_sizes),
+            migration_token(adm.block_sizes, adm.min_result_size, adm.max_result_size),
+        )
+        parts.append("AtomicDMM(\n" + "".join(f"{pad}{slot},\n" for slot in slots) + pad)
+    # every ADM's closing parenthesis follows the backstop
+    parts.append(backstop_token(dmm.backstop.heap_limit) + ")" * len(dmm.adms) + "\n")
+    return "".join(parts)
 
-    def render(i: int, depth: int) -> str:
-        pad = "  " * (depth + 1)
-        if i == len(dmm.adms):
-            return f"OperatingSystem({dmm.backstop.heap_limit})"
-        adm = dmm.adms[i]
-        ds = f"{_DS_TOKENS[(adm.allocation_policy, adm.data_structure)]}({_TAG_TOKENS[adm.block_tags]})"
-        migration = migration_token(adm.block_sizes, adm.min_result_size, adm.max_result_size)
-        parts = [ds, selector_token(adm.block_sizes), migration, render(i + 1, depth + 1)]
-        inner = (",\n" + pad).join(parts)
-        return f"AtomicDMM(\n{pad}{inner})"
 
-    return render(0, 0) + "\n"
-
-
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[(),])")
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|\d+|[(),])|(\S))")  # (token, stray character)
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise DmmTextError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+    for token, stray in _TOKEN_RE.findall(text):
+        if stray:
+            raise DmmTextError(f"unexpected character {stray!r}")
+        tokens.append(token)
     return tokens
 
 
@@ -287,6 +277,18 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def lookup(self, table: dict, what: str):
+        tok = self.take()
+        if tok not in table:
+            raise DmmTextError(f"unknown {what} {tok!r}")
+        return table[tok]
+
+    def int_arg(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise DmmTextError(f"expected an integer argument, got {tok!r}")
+        return int(tok)
+
     def int_args(self, minimum: int, maximum: int) -> list[int]:
         """Optional parenthesized integer list with the given arity bounds."""
         if self.peek() != "(":
@@ -294,14 +296,23 @@ class _Parser:
                 raise DmmTextError("expected '(' with arguments")
             return []
         self.take("(")
-        args = [int(self.take())]
+        args = [self.int_arg()]
         while self.peek() == ",":
             self.take(",")
-            args.append(int(self.take()))
+            args.append(self.int_arg())
         self.take(")")
         if not minimum <= len(args) <= maximum:
             raise DmmTextError(f"expected between {minimum} and {maximum} arguments, got {len(args)}")
         return args
+
+    def size_pair(self, name: str) -> tuple[int, int]:
+        """Two sizes, or BARE_RANGE_DEFAULT when the token has no arguments."""
+        args = self.int_args(0, 2)
+        if not args:
+            return BARE_RANGE_DEFAULT
+        if len(args) != 2:
+            raise DmmTextError(f"{name} takes two sizes")
+        return args[0], args[1]
 
     def selector(self) -> BlockSizes | None:
         """None encodes TrueSelector (resolved against the backstop later)."""
@@ -310,70 +321,27 @@ class _Parser:
             args = self.int_args(0, 1)
             return One(args[0] if args else BARE_SIZE_DEFAULT)
         if tok == "RangeSelector":
-            args = self.int_args(0, 2)
-            if not args:
-                return SizeRange(*BARE_RANGE_DEFAULT)
-            if len(args) != 2:
-                raise DmmTextError("RangeSelector takes two sizes")
-            return SizeRange(args[0], args[1])
+            return SizeRange(*self.size_pair(tok))
         if tok == "TrueSelector":
             return None
         raise DmmTextError(f"unknown selector {tok!r}")
 
-    def expression(self) -> tuple[list[dict], OsBackstop]:
-        tok = self.take()
-        if tok == "OperatingSystem":
-            args = self.int_args(0, 1)
-            return [], OsBackstop(heap_limit=args[0] if args else DEFAULT_HEAP_LIMIT)
-        if tok != "AtomicDMM":
-            raise DmmTextError(f"expected AtomicDMM or OperatingSystem, got {tok!r}")
-        self.take("(")
-        ds_tok = self.take()
-        if ds_tok not in _DS_FROM_TOKEN:
-            raise DmmTextError(f"unknown data structure {ds_tok!r}")
-        self.take("(")
-        tag_tok = self.take()
-        if tag_tok not in _TAG_FROM_TOKEN:
-            raise DmmTextError(f"unknown header {tag_tok!r}")
-        self.take(")")
-        self.take(",")
-        sizes = self.selector()
-        self.take(",")
-        migration = self.migration()
-        self.take(",")
-        rest, backstop = self.expression()
-        self.take(")")
-        policy, structure = _DS_FROM_TOKEN[ds_tok]
-        adm = dict(
-            data_structure=structure,
-            allocation_policy=policy,
-            block_tags=_TAG_FROM_TOKEN[tag_tok],
-            block_sizes=sizes,
-            **migration,
-        )
-        return [adm] + rest, backstop
-
-    def migration(self) -> dict:
+    def migration(self) -> tuple[int | None, int | None]:
         """SplitOnly(min), CoalesceOnly(max) or SplitAndCoalesce(min, max)."""
         tok = self.peek()
         if tok == "SplitAndCoalesce":
-            self.take()
-            args = self.int_args(0, 2)
-            mn, mx = (args[0], args[1]) if len(args) == 2 else BARE_RANGE_DEFAULT
-            return dict(min_result_size=mn, max_result_size=mx)
+            return self.size_pair(self.take())
         if tok == "SplitOnly":
             self.take()
-            (mn,) = self.int_args(1, 1)
-            return dict(min_result_size=mn)
+            return self.int_args(1, 1)[0], None
         if tok == "CoalesceOnly":
             self.take()
-            (mx,) = self.int_args(1, 1)
-            return dict(max_result_size=mx)
+            return None, self.int_args(1, 1)[0]
         # A plain selector in the migration slot means no splitting and no
         # coalescing; freed-block routing always follows block_sizes, so its
         # value is read and dropped.
         self.selector()
-        return {}
+        return None, None
 
 
 def parse_dmm(text: str) -> DmmConfig:
@@ -383,12 +351,30 @@ def parse_dmm(text: str) -> DmmConfig:
     defaults; TrueSelector becomes the full range up to the heap limit.
     """
     parser = _Parser(_tokenize(text))
-    raw_adms, backstop = parser.expression()
+    slots = []  # (data structure, header, selector, migration) of each ADM
+    while (tok := parser.take()) == "AtomicDMM":
+        parser.take("(")
+        data_structure = parser.lookup(_DATA_STRUCTURES, "data structure")
+        parser.take("(")
+        tags = parser.lookup(_HEADERS, "header")
+        parser.take(")")
+        parser.take(",")
+        sizes = parser.selector()
+        parser.take(",")
+        migration = parser.migration()
+        parser.take(",")
+        slots.append((data_structure, tags, sizes, migration))
+    if tok != "OperatingSystem":
+        raise DmmTextError(f"expected AtomicDMM or OperatingSystem, got {tok!r}")
+    args = parser.int_args(0, 1)
+    backstop = OsBackstop(heap_limit=args[0] if args else DEFAULT_HEAP_LIMIT)
+    for _ in slots:
+        parser.take(")")
     if parser.peek() is not None:
         raise DmmTextError(f"trailing tokens after expression: {parser.peek()!r}")
-    adms = []
-    for raw in raw_adms:
-        if raw["block_sizes"] is None:  # TrueSelector catch-all
-            raw["block_sizes"] = SizeRange(1, backstop.heap_limit)
-        adms.append(AdmConfig(**raw))
-    return DmmConfig(adms=tuple(adms), backstop=backstop)
+    true_range = SizeRange(1, backstop.heap_limit)  # TrueSelector's catch-all
+    adms = tuple(
+        AdmConfig(structure, true_range if sizes is None else sizes, tags, policy, mn, mx)
+        for (policy, structure), tags, sizes, (mn, mx) in slots
+    )
+    return DmmConfig(adms=adms, backstop=backstop)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .dmm_space import HwParams, One, SizeRange, migration_token, selector_token
+from .dmm_space import HwParams, One, SizeRange, backstop_token, migration_token, selector_token
 from .trace import TraceStats
 
 _NONTERMINAL_RE = re.compile(r"<[A-Za-z_][A-Za-z0-9_]*>")
@@ -137,7 +137,7 @@ def generate_grammar(stats: TraceStats, hw: HwParams) -> str:
     selectors = [selector_token(s) for s in served]
     flexible = migration_token(None, min(stats.min_size, 8), stats.max_size)
     filled = {"<Selector>": selectors, "<Migration>": selectors + [flexible]}
-    backstop = f"OperatingSystem({hw.memory_size})"
+    backstop = backstop_token(hw.memory_size)
 
     lines = [
         "# Grammar generated from trace statistics; see dmmopt gen-grammar.",

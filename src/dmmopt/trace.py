@@ -16,6 +16,7 @@ the text names its 1-based line.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -186,8 +187,11 @@ class WorkloadSpec:
         if self.sizes is not None:
             if not self.sizes or min(self.sizes) < 1:
                 raise WorkloadSpecError("sizes", "sizes must be non-empty and >= 1 byte")
-            if self.weights is not None and len(self.weights) != len(self.sizes):
+            weights = self.weights
+            if weights is not None and len(weights) != len(self.sizes):
                 raise WorkloadSpecError("weights", "weights must match sizes in length")
+            if weights is not None and (min(weights) < 0 or not 0 < sum(weights) < math.inf):
+                raise WorkloadSpecError("weights", "weights must be finite, >= 0 and not all 0")
         if self.size_range is not None:
             lo, hi = self.size_range
             if lo < 1 or hi < lo:
@@ -208,10 +212,14 @@ def _sizes_field(text: str) -> dict[str, tuple[int, ...]]:
     return {"sizes": tuple(int(s) for s in text.split(","))}
 
 
-def parse_workload_spec(text: str) -> WorkloadSpec:
-    """Read the key-value workload file (sizes, weights, events, live_cap, seed).
+_SPEC_KEYS = ("sizes", "weights", "events", "live_cap", "seed", "alloc_ratio")
 
-    A bad or out-of-range value names its line; a missing field names the field.
+
+def parse_workload_spec(text: str) -> WorkloadSpec:
+    """Read the key-value workload file (the keys of `_SPEC_KEYS`).
+
+    A bad or out-of-range value, an unknown or a repeated key names its
+    line; a missing field names the field.
     """
     fields: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -221,6 +229,10 @@ def parse_workload_spec(text: str) -> WorkloadSpec:
         if "=" not in line:
             raise TraceError(f"expected key = value, got {raw!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SPEC_KEYS:
+            raise TraceError(f"unknown key {key!r} (known: {', '.join(_SPEC_KEYS)})", lineno)
+        if key in fields:
+            raise TraceError(f"key {key!r} repeats line {fields[key][1]}", lineno)
         fields[key] = (value, lineno)
 
     for key in ("sizes", "events", "live_cap"):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dmmopt.cli import main
-from dmmopt.dmm_space import kingsley_config, lea_config, serialize_dmm
+from dmmopt.dmm_space import DmmConfig, kingsley_config, lea_config, serialize_dmm
 from dmmopt.trace import parse_trace
 
 WORKLOAD = """
@@ -175,6 +175,23 @@ def test_simulate_one_line_csv(workdir, capsys):
     assert out[1] == "ex_time,mem_acc,peak_mem_used,energy,fitness"
     assert len(out) == 3
     assert float(out[2].split(",")[4]) == pytest.approx(1.0)  # kingsley vs its own normalizer
+
+
+def test_simulate_reads_a_chain_of_a_thousand_adms(workdir, capsys):
+    dmm = workdir / "long.txt"
+    dmm.write_text(serialize_dmm(DmmConfig(adms=kingsley_config().adms * 34)))  # 1,020 ADMs
+    assert main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_energy_per_access_is_exit_code_1_and_names_it(workdir, capsys, value):
+    dmm = workdir / "k.txt"
+    dmm.write_text(serialize_dmm(kingsley_config()))
+    code = main(["simulate", "--dmm", str(dmm), "--trace", str(workdir / "t.txt"),
+                 "--energy-per-access", value])
+    assert code == 1
+    assert "energy_per_access must be finite and positive" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_exit_code_1(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmmopt.dmm_space import (
     AdmConfig,
@@ -196,6 +200,40 @@ class TestHwParams:
             HwParams(memory_size=0)
         assert HwParams(energy_per_access=1e-9, memory_size=1024).memory_size == 1024
 
+    @pytest.mark.parametrize("field", ["energy_per_access", "memory_size"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            HwParams(**{field: value})
+
+
+@st.composite
+def legal_dmms(draw) -> DmmConfig:
+    """Any legal chain of up to six ADMs in front of any heap limit."""
+    adms = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            sizes = One(draw(st.integers(1, 2**20)))
+            mn = mx = None
+            tags = draw(st.sampled_from(BlockTags))
+        else:
+            lo = draw(st.integers(1, 2**20))
+            sizes = SizeRange(lo, draw(st.integers(lo, 2**21)))
+            mn = draw(st.none() | st.integers(1, 4096))
+            mx = draw(st.none() | st.integers(mn or 1, 2**21))
+            tags = STATUS if mx is not None else draw(st.sampled_from([BlockTags.HEADER_SIZE, STATUS]))
+        adms.append(AdmConfig(
+            data_structure=draw(st.sampled_from(DataStructureKind)),
+            block_sizes=sizes,
+            block_tags=tags,
+            allocation_policy=draw(st.sampled_from(AllocationPolicy)),
+            min_result_size=mn,
+            max_result_size=mx,
+        ))
+    dmm = DmmConfig(adms=tuple(adms), backstop=OsBackstop(heap_limit=draw(st.integers(1, 2**40))))
+    assert validate(dmm) == []
+    return dmm
+
 
 class TestTextForm:
     def test_round_trip_baselines(self):
@@ -216,6 +254,32 @@ class TestTextForm:
         for _ in range(200):
             dmm = random_small_dmm(rng)
             assert parse_dmm(serialize_dmm(dmm)) == dmm
+
+    @settings(max_examples=300, deadline=None)
+    @given(legal_dmms())
+    def test_round_trip_property(self, dmm):
+        assert parse_dmm(serialize_dmm(dmm)) == dmm
+
+    def test_round_trip_of_a_chain_of_1200_adms(self):
+        dmm = DmmConfig(adms=tuple(one_adm(block_sizes=One(8 * k)) for k in range(1, 1201)))
+        text = serialize_dmm(dmm)
+        assert text.endswith("OperatingSystem(1073741824)" + ")" * 1200 + "\n")
+        assert parse_dmm(text) == dmm
+
+    def test_tokens_are_the_enum_values(self):
+        adm = one_adm(
+            data_structure=DataStructureKind.DOUBLY_LINKED,
+            allocation_policy=AllocationPolicy.EXACT_FIT,
+            block_tags=BlockTags.NONE,
+        )
+        text = serialize_dmm(DmmConfig(adms=(adm,), backstop=OsBackstop(heap_limit=4096)))
+        assert text == (
+            "AtomicDMM(\n"
+            "  ExactFitDLL(EmptyHeader),\n"
+            "  SizeSelector(8),\n"
+            "  SizeSelector(8),\n"
+            "  OperatingSystem(4096))\n"
+        )
 
     def test_plain_selector_migration_means_no_split_and_no_coalesce(self):
         dmm = parse_dmm(
@@ -245,3 +309,24 @@ class TestTextForm:
             parse_dmm("AtomicDMM(WorstFitSLL(SizeHeader), SizeSelector, SizeSelector, OperatingSystem)")
         with pytest.raises(DmmTextError):
             parse_dmm("OperatingSystem(4096, 16)")
+
+    @pytest.mark.parametrize(
+        "selector, message",
+        [
+            ("SizeSelector()", "expected an integer argument, got ')'"),
+            ("SizeSelector(x)", "expected an integer argument, got 'x'"),
+            ("SizeSelector(8,)", "expected an integer argument, got ')'"),
+            ("RangeSelector(8)", "RangeSelector takes two sizes"),
+        ],
+        ids=["no-argument", "not-a-number", "trailing-comma", "range-of-one-size"],
+    )
+    def test_malformed_arguments_are_text_errors(self, selector, message):
+        text = f"AtomicDMM(FirstFitSLL(SizeHeader), {selector}, SizeSelector, OperatingSystem)"
+        with pytest.raises(DmmTextError, match=re.escape(message)):
+            parse_dmm(text)
+
+    def test_split_and_coalesce_takes_two_sizes_or_none(self):
+        text = "AtomicDMM(FirstFitSLL(SizeStatusHeader), RangeSelector, {}, OperatingSystem)"
+        with pytest.raises(DmmTextError, match="SplitAndCoalesce takes two sizes"):
+            parse_dmm(text.format("SplitAndCoalesce(8)"))
+        assert parse_dmm(text.format("SplitAndCoalesce")).adms[0].max_result_size == 128 * 1024

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmmopt.dmm_space import (
     AdmConfig,
@@ -253,6 +255,36 @@ class TestRandomizedInvariants:
                 adm = sim.adms[left.owner]
                 merged = left.gross + right.gross - left.header
                 assert not adm.coalesces or merged > adm.max_result
+
+
+class TestFirstFitEqualsExactFitOnOne:
+    """Every block a One(k) ADM holds has payload k, so a first-fit scan
+    stops at the head and an exact-fit probe pops the same block from
+    its one bucket: both policies charge the same for every event."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from((8, 16, 24, 40, 64, 100, 128)) | st.integers(1, 256),
+        tags=st.sampled_from(BlockTags),
+        structure=st.sampled_from(DataStructureKind),
+        others_seed=st.none() | st.integers(0, 2**32 - 1),
+        position=st.integers(0, 3),
+        heap_limit=st.sampled_from((2**30, 2048)),
+        trace_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_fit_and_exact_fit_replay_alike(
+        self, k, tags, structure, others_seed, position, heap_limit, trace_seed
+    ):
+        others = () if others_seed is None else random_small_dmm(random.Random(others_seed)).adms
+        position = min(position, len(others))
+        trace = random_small_trace(random.Random(trace_seed), events=120)
+
+        def replay(policy: AllocationPolicy) -> SimMetrics:
+            adm = AdmConfig(structure, One(k), tags, policy)
+            adms = others[:position] + (adm,) + others[position:]
+            return simulate(DmmConfig(adms=adms, backstop=OsBackstop(heap_limit)), trace, HW)
+
+        assert replay(AllocationPolicy.FIRST_FIT) == replay(AllocationPolicy.EXACT_FIT)
 
 
 class TestFitness:

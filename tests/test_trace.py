@@ -189,9 +189,21 @@ def test_workload_spec_file_round_trip():
         ("sizes = 8,16\nweights = 1,y\nevents = 10\nlive_cap = 2\n", 2),
         ("sizes = 8,16\nevents = 10\nlive_cap = 2\nweights = 1\n", 4),
         ("sizes = 8\nevents = 10\nlive_cap = 2\nalloc_ratio = 1\n", 4),
+        ("sizes = 8\nevents = 10\nlive_cap = 2\naloc_ratio = 0.9\n", 4),  # unknown key
+        ("sizes = 8\nsizes = 16\nevents = 10\nlive_cap = 2\n", 2),  # repeated key
+        ("sizes = 8,16,24\nweights = -1,2,3\nevents = 10\nlive_cap = 2\n", 2),
+        ("sizes = 8,16\nweights = 0,0\nevents = 10\nlive_cap = 2\n", 2),
+        ("sizes = 8,16\nweights = nan,1\nevents = 10\nlive_cap = 2\n", 2),
+        ("sizes = 8,16\nweights = inf,1\nevents = 10\nlive_cap = 2\n", 2),
     ],
 )
 def test_workload_spec_errors_name_the_line(text, line):
     with pytest.raises(TraceError) as info:
         parse_workload_spec(text)
     assert info.value.line == line
+
+
+def test_zero_weights_are_allowed_while_one_is_positive():
+    spec = parse_workload_spec("sizes = 8,16\nweights = 0,1\nevents = 10\nlive_cap = 2\n")
+    sizes = {ev.size for ev in synth_workload(spec).events}
+    assert sizes == {16}
