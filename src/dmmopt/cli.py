@@ -102,11 +102,12 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_stats(args, argv) -> int:
     stats = trace_stats(parse_trace(_read(args.trace)))
+    sizes = stats.distinct_sizes  # empty for a trace without allocations
     lines = [
         _invocation(argv),
         "events,allocs,distinct_sizes,min_size,max_size,max_live_bytes\n",
-        f"{stats.event_count},{stats.alloc_count},{len(stats.distinct_sizes)},"
-        f"{stats.min_size},{stats.max_size},{stats.max_live_bytes}\n",
+        f"{stats.event_count},{stats.alloc_count},{len(sizes)},"
+        f"{sizes[0] if sizes else ''},{sizes[-1] if sizes else ''},{stats.max_live_bytes}\n",
     ]
     _emit(args.out, "".join(lines))
     return 0

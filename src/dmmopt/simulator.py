@@ -37,9 +37,14 @@ serve a freshly granted block         1         1
 return a block to the OS              1         1
 ================================  =====  ========
 
-The SLL first-fit fast path therefore costs exactly (5, 7) for a
-head hit and (6, 9) when the hit empties the list, and a probe of an
-empty list costs (3, 2).
+A search of one ADM's free structure charges the entry row plus one
+visited-node row per extra node: none for exact fit, all but the first
+for best fit, and for first fit those before the block it takes (all
+but the first when none fits; none on an empty list). A miss then adds
+the failed exit. A hit adds the unlink and the successful return, plus
+list-became-empty when it takes the last block. The SLL first-fit fast
+path therefore costs exactly (5, 7) for a head hit and (6, 9) when the
+hit empties the list, and a probe of an empty list costs (3, 2).
 
 Dispatch: each ADM has a request range ``[lo, hi]`` and a freed-payload
 range ``[free_lo, hi]``, ``[0, k]`` and ``[k, k]`` for ``One(k)``. An
@@ -134,9 +139,9 @@ class AdmRuntime:
         self.header = adm.block_tags.header_bytes
         self.exact = adm.allocation_policy is AllocationPolicy.EXACT_FIT
         self.best = adm.allocation_policy is AllocationPolicy.BEST_FIT
-        self.dll = adm.data_structure is DataStructureKind.DOUBLY_LINKED
-        self.unlink_cost = COST_UNLINK_DLL if self.dll else COST_UNLINK_SLL
-        self.insert_cost = COST_INSERT_DLL if self.dll else COST_INSERT_SLL
+        dll = adm.data_structure is DataStructureKind.DOUBLY_LINKED
+        self.unlink_cost = COST_UNLINK_DLL if dll else COST_UNLINK_SLL
+        self.insert_cost = COST_INSERT_DLL if dll else COST_INSERT_SLL
         self.splits = adm.min_result_size is not None
         self.min_result = adm.min_result_size
         self.coalesces = adm.max_result_size is not None
@@ -150,48 +155,42 @@ class AdmRuntime:
         return list(self.blocks)
 
     def take(self, payload: int) -> Block | None:
-        """Search for a block with room for `payload` bytes and unlink it."""
-        sim = self.sim
-        sim.ex_time += COST_ENTRY[0]
-        sim.mem_acc += COST_ENTRY[1]
-        if self.exact:
-            bucket = self.buckets.get(payload)
-            if not bucket:
-                sim.ex_time += COST_MISS[0]
-                return None
-            block = bucket.pop()
-            if not bucket:
-                del self.buckets[payload]
-                sim.ex_time += COST_EMPTIED[0]
-                sim.mem_acc += COST_EMPTIED[1]
+        """Search for a block with room for `payload` bytes and unlink it.
+
+        The policy picks only the block's index in its list (-1 for none)
+        and the extra nodes the search visits; the charges are common."""
+        if self.exact:  # the bucket's last block, no extra node
+            lst = self.buckets.get(payload, ())
+            found = len(lst) - 1
+            extra = 0
         else:
             lst = self.blocks
-            if not lst:
-                sim.ex_time += COST_MISS[0]
-                return None
             found = -1
-            if self.best:
-                extra = len(lst) - 1
+            if self.best:  # the whole list, keeping the first smallest fit
+                extra = len(lst) - 1 if lst else 0
                 best_payload = -1
                 for j, b in enumerate(lst):
                     if b.payload >= payload and (best_payload < 0 or b.payload < best_payload):
                         found = j
                         best_payload = b.payload
-            else:  # first fit
-                for j, b in enumerate(lst):
+            else:  # first fit: up to the first block that fits
+                extra = 0
+                for extra, b in enumerate(lst):
                     if b.payload >= payload:
-                        found = j
+                        found = extra
                         break
-                extra = j if found >= 0 else len(lst) - 1
-            sim.ex_time += extra * COST_VISIT[0]
-            sim.mem_acc += extra * COST_VISIT[1]
-            if found < 0:
-                sim.ex_time += COST_MISS[0]
-                return None
-            block = lst.pop(found)
-            if not lst:
-                sim.ex_time += COST_EMPTIED[0]
-                sim.mem_acc += COST_EMPTIED[1]
+        sim = self.sim
+        sim.ex_time += COST_ENTRY[0] + extra * COST_VISIT[0]
+        sim.mem_acc += COST_ENTRY[1] + extra * COST_VISIT[1]
+        if found < 0:
+            sim.ex_time += COST_MISS[0]
+            return None
+        block = lst.pop(found)
+        if not lst:
+            if self.exact:
+                del self.buckets[payload]
+            sim.ex_time += COST_EMPTIED[0]
+            sim.mem_acc += COST_EMPTIED[1]
         sim.ex_time += self.unlink_cost[0] + COST_RETURN[0]
         sim.mem_acc += self.unlink_cost[1]
         block.state = LIVE  # off the free structure, headed for the caller
@@ -287,20 +286,15 @@ class HeapSim:
             payload = adm.hi if adm.is_one else self._align(size)
             block = adm.take(payload)
             if block is not None:
-                if (
-                    adm.splits
-                    and block.payload - payload - adm.header >= adm.min_result
-                ):
+                if adm.splits and block.payload - payload - adm.header >= adm.min_result:
                     self._split(adm, block, payload)
-                self.live[object_id] = (block, size)
-                return
+                break
             if adm.is_one:
                 block = self._grant(payload, adm.header, adm.index)
-                if block is not None:
-                    self.live[object_id] = (block, size)
-                return
+                break
             # a range manager with no fitting free block falls through
-        block = self._grant(self._align(size), BACKSTOP_HEADER_BYTES, None)
+        else:
+            block = self._grant(self._align(size), BACKSTOP_HEADER_BYTES, None)
         if block is not None:
             self.live[object_id] = (block, size)
 
@@ -324,42 +318,26 @@ class HeapSim:
         self.mem_used -= block.gross
 
     def _coalesce(self, adm: AdmRuntime, block: Block) -> Block:
-        # merge with the lower-address neighbor, then the higher one
-        self.ex_time += COST_COALESCE_CHECK[0]
-        self.mem_acc += COST_COALESCE_CHECK[1]
-        left = self.by_end.get(block.start)
-        if (
-            left is not None
-            and left.state == FREE
-            and left.owner == adm.index
-            and left.gross + block.gross - left.header <= adm.max_result
-        ):
+        # both neighbors are checked; one merge step serves the
+        # lower-address neighbor, then the higher one
+        self.ex_time += 2 * COST_COALESCE_CHECK[0]
+        self.mem_acc += 2 * COST_COALESCE_CHECK[1]
+        for below in (True, False):
+            neighbor = self.by_end.get(block.start) if below else self.by_start.get(block.end)
+            if neighbor is None or neighbor.state != FREE or neighbor.owner != adm.index:
+                continue
+            low, high = (neighbor, block) if below else (block, neighbor)
+            if low.gross + high.gross - low.header > adm.max_result:
+                continue
             self.ex_time += COST_COALESCE_MERGE[0]
             self.mem_acc += COST_COALESCE_MERGE[1]
-            adm.unlink_for_merge(left)
-            del self.by_start[block.start]
-            del self.by_end[block.start]
-            left.gross += block.gross
-            left.payload = left.gross - left.header
-            self.by_end[left.end] = left
-            block = left
-        self.ex_time += COST_COALESCE_CHECK[0]
-        self.mem_acc += COST_COALESCE_CHECK[1]
-        right = self.by_start.get(block.end)
-        if (
-            right is not None
-            and right.state == FREE
-            and right.owner == adm.index
-            and block.gross + right.gross - block.header <= adm.max_result
-        ):
-            self.ex_time += COST_COALESCE_MERGE[0]
-            self.mem_acc += COST_COALESCE_MERGE[1]
-            adm.unlink_for_merge(right)
-            del self.by_start[right.start]
-            del self.by_end[block.end]
-            block.gross += right.gross
-            block.payload = block.gross - block.header
-            self.by_end[block.end] = block
+            adm.unlink_for_merge(neighbor)
+            del self.by_start[high.start]
+            del self.by_end[low.end]
+            low.gross += high.gross
+            low.payload = low.gross - low.header
+            self.by_end[low.end] = low
+            block = low
         return block
 
     def apply(self, event: TraceEvent) -> None:

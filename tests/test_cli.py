@@ -50,6 +50,22 @@ def test_stats_reports_summary_with_invocation_echo(workdir, capsys):
     assert fields[0] == "200" and fields[3] == "40"
 
 
+def test_stats_of_a_trace_without_allocations_leaves_the_size_range_empty(tmp_path, capsys):
+    comments_only = tmp_path / "empty.txt"
+    comments_only.write_text("# empty\n")
+    spec = tmp_path / "none.cfg"
+    spec.write_text("sizes = 8\nevents = 0\nlive_cap = 1\n")
+    synthesized = tmp_path / "synth.txt"
+    assert main(["synth", "--spec", str(spec), "--out", str(synthesized)]) == 0
+    for trace in (comments_only, synthesized):
+        capsys.readouterr()
+        assert main(["stats", "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "0,0,0,,,0"
+        # a grammar still needs sizes to draw its selectors from
+        assert main(["gen-grammar", "--trace", str(trace)]) == 1
+        assert "empty trace" in capsys.readouterr().err
+
+
 def test_gen_grammar_then_optimize_then_compare(workdir, capsys):
     g = workdir / "g.bnf"
     log = workdir / "log.csv"

@@ -120,6 +120,79 @@ class TestCostAnchors:
         assert block is not None and block.payload == 64
         assert (sim.ex_time - t0, sim.mem_acc - a0) == (5 + 2 * 2, 7 + 2 * 2)
 
+    @pytest.mark.parametrize("policy", [AllocationPolicy.FIRST_FIT, AllocationPolicy.BEST_FIT])
+    def test_miss_on_a_non_empty_list_visits_every_node(self, policy):
+        # entry (2, 2), two extra nodes (4, 4), failed exit (1, 0)
+        sim = seeded_sim(sll_first_fit(sizes=SizeRange(8, 4096), allocation_policy=policy), [8, 16, 24])
+        t0, a0 = sim.ex_time, sim.mem_acc
+        assert sim.adms[0].take(64) is None
+        assert (sim.ex_time - t0, sim.mem_acc - a0) == (7, 6)
+        assert [b.payload for b in sim.adms[0].blocks] == [8, 16, 24]
+
+    def test_exact_fit_miss_on_a_missing_bucket_costs_3_time_2_accesses(self):
+        dmm = sll_first_fit(sizes=SizeRange(8, 4096), allocation_policy=AllocationPolicy.EXACT_FIT)
+        sim = seeded_sim(dmm, [64, 128])
+        t0, a0 = sim.ex_time, sim.mem_acc
+        assert sim.adms[0].take(32) is None
+        assert (sim.ex_time - t0, sim.mem_acc - a0) == (3, 2)
+        assert sorted(sim.adms[0].buckets) == [64, 128]
+
+    def test_exact_fit_hit_that_empties_its_bucket_costs_6_time_9_accesses(self):
+        dmm = sll_first_fit(sizes=SizeRange(8, 4096), allocation_policy=AllocationPolicy.EXACT_FIT)
+        sim = seeded_sim(dmm, [64, 128])
+        t0, a0 = sim.ex_time, sim.mem_acc
+        block = sim.adms[0].take(64)
+        assert block is not None and block.payload == 64
+        assert (sim.ex_time - t0, sim.mem_acc - a0) == (6, 9)
+        assert sorted(sim.adms[0].buckets) == [128]
+
+    @staticmethod
+    def cost_of_freeing(dmm: DmmConfig, freed_before: tuple[int, ...], measured: int):
+        """Allocate objects 1, 2, 3 (adjacent 112-byte OS grants), free
+        `freed_before`, then return the cost of freeing `measured` and the
+        ADM's free payloads after it."""
+        sim = HeapSim(dmm, HW)
+        for object_id in (1, 2, 3):
+            sim.alloc(object_id, 100)
+        for object_id in freed_before:
+            sim.free(object_id)
+        t0, a0 = sim.ex_time, sim.mem_acc
+        sim.free(measured)
+        payloads = sorted(b.payload for b in sim.adms[0].free_blocks())
+        return (sim.ex_time - t0, sim.mem_acc - a0), payloads
+
+    # every free below costs live lookup (2, 2), one selector (1, 1), two
+    # neighbor checks (6, 8) and a DLL insert (4, 6), plus (2, 3) per merge
+    def test_left_only_merge(self):
+        cost, payloads = self.cost_of_freeing(split_and_coalesce_dmm(), (1,), 2)
+        assert cost == (15, 20)
+        assert payloads == [2 * 112 - 8]
+
+    def test_right_only_merge(self):
+        cost, payloads = self.cost_of_freeing(split_and_coalesce_dmm(), (2,), 1)
+        assert cost == (15, 20)
+        assert payloads == [2 * 112 - 8]
+
+    def test_two_sided_merge(self):
+        cost, payloads = self.cost_of_freeing(split_and_coalesce_dmm(), (1, 3), 2)
+        assert cost == (17, 23)
+        assert payloads == [3 * 112 - 8]
+
+    def test_merge_over_the_cap_is_checked_but_not_made(self):
+        cost, payloads = self.cost_of_freeing(split_and_coalesce_dmm(max_result=150), (1, 3), 2)
+        assert cost == (13, 17)
+        assert payloads == [104, 104, 104]
+
+    def test_docstring_table_rows_are_the_cost_constants_in_order(self):
+        from dmmopt import simulator
+
+        lines = simulator.__doc__.splitlines()
+        rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+        rows = [line.rsplit(None, 2) for line in lines[rules[1] + 1 : rules[2]]]
+        constants = [v for k, v in vars(simulator).items() if k.startswith("COST_")]
+        assert len(rows) == len(constants) == 17
+        assert [(int(t), int(a)) for _, t, a in rows] == constants
+
 
 class TestSimulate:
     def test_empty_trace_gives_zero_metrics(self):
